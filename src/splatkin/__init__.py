@@ -1,7 +1,6 @@
 """Gaussian-splat scene tracking, skinning, map packing, and motion retargeting."""
 
 from .core import (
-    GaussianKernel,
     GaussianSet,
     NeighborGraph,
     PointCloud,
@@ -47,14 +46,10 @@ from .morton import (
 )
 from .render import OrthoCamera, RenderOutput, project, splat
 from .warp import (
-    AttributeRegressor,
     FrameMotion,
-    WarpFieldRegressor,
     apply_motion,
     assemble,
-    baseline_regress,
     disassemble,
-    pseudo_gt_attributes,
     relative_motion,
     warp_appearance,
 )

@@ -53,7 +53,6 @@ _TRACK_KEYS = {
     "lr_position": "lr_position",
     "lr_rotation": "lr_rotation",
     "lr_scale": "lr_scale",
-    "lr_opacity": "lr_opacity",
     "lr_color": "lr_color",
     "seed": "seed",
 }

@@ -39,18 +39,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
-class GaussianKernel:
-    """A single splat. ``log_scale`` holds per-axis log extents."""
-
-    position: np.ndarray
-    rotation: np.ndarray
-    log_scale: np.ndarray
-    opacity: float
-    color: np.ndarray
-    label: int | None = None
-
-
 @dataclass
 class GaussianSet:
     """An ordered collection of Gaussian kernels; order defines kernel identity.
@@ -111,16 +99,6 @@ class GaussianSet:
     @property
     def color_channels(self) -> int:
         return self.colors.shape[1]
-
-    def kernel(self, i: int) -> GaussianKernel:
-        return GaussianKernel(
-            position=self.positions[i].copy(),
-            rotation=self.rotations[i].copy(),
-            log_scale=self.log_scales[i].copy(),
-            opacity=float(self.opacities[i]),
-            color=self.colors[i].copy(),
-            label=None if self.labels is None else int(self.labels[i]),
-        )
 
     def replace(self, **kwargs) -> "GaussianSet":
         """Build a new set with some fields swapped out (arrays are re-validated)."""

@@ -40,8 +40,16 @@ class EnergyEval:
     grad_p: np.ndarray | None = None  # (N,3) positions
     grad_q: np.ndarray | None = None  # (N,4) raw rotations
     grad_s: np.ndarray | None = None  # (N,3) log-scales
-    grad_o: np.ndarray | None = None  # (N,) opacities
     grad_c: np.ndarray | None = None  # (N,C) colors
+
+
+# GaussianSet field -> EnergyEval gradient attribute, for every block a term can move
+GRAD_FIELDS = {
+    "positions": "grad_p",
+    "rotations": "grad_q",
+    "log_scales": "grad_s",
+    "colors": "grad_c",
+}
 
 
 def e_arap(prev: GaussianSet, cur: GaussianSet, graph: NeighborGraph) -> EnergyEval:
@@ -247,9 +255,8 @@ def e_mask(gset: GaussianSet, masks, cameras, truncation_radius: float = 3.0) ->
     return EnergyEval(value=value, grad_p=grad_p, grad_q=grad_q)
 
 
-def e_l2_gauss(gset: GaussianSet, target: GaussianSet, positions: bool = True,
-               rotations: bool = True) -> EnergyEval:
-    """Mean squared difference to a target set over the selected channels.
+def e_l2_gauss(gset: GaussianSet, target: GaussianSet) -> EnergyEval:
+    """Mean squared difference to a target set over positions and rotations.
 
     Rotations are hemisphere-aligned pairwise (target flipped when the dot
     product is negative) before differencing; gradients are with respect to
@@ -257,20 +264,10 @@ def e_l2_gauss(gset: GaussianSet, target: GaussianSet, positions: bool = True,
     """
     if len(gset) != len(target):
         raise InvalidArgumentError(f"kernel counts differ: {len(gset)} vs {len(target)}")
-    if not (positions or rotations):
-        raise InvalidArgumentError("select at least one channel")
     n = len(gset)
-    value = 0.0
-    grad_p = None
-    grad_q = None
-    if positions:
-        dp = gset.positions - target.positions
-        value += float(np.sum(dp * dp)) / n
-        grad_p = 2.0 * dp / n
-    if rotations:
-        dots = np.sum(gset.rotations * target.rotations, axis=1)
-        flip = np.where(dots < 0.0, -1.0, 1.0)
-        dq = gset.rotations - flip[:, None] * target.rotations
-        value += float(np.sum(dq * dq)) / n
-        grad_q = 2.0 * dq / n
-    return EnergyEval(value=value, grad_p=grad_p, grad_q=grad_q)
+    dp = gset.positions - target.positions
+    dots = np.sum(gset.rotations * target.rotations, axis=1)
+    flip = np.where(dots < 0.0, -1.0, 1.0)
+    dq = gset.rotations - flip[:, None] * target.rotations
+    value = float(np.sum(dp * dp)) / n + float(np.sum(dq * dq)) / n
+    return EnergyEval(value=value, grad_p=2.0 * dp / n, grad_q=2.0 * dq / n)

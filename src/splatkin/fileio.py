@@ -362,7 +362,6 @@ _FLOAT_KEYS = {
     "lr_position": (False, "non-negative"),
     "lr_rotation": (False, "non-negative"),
     "lr_scale": (False, "non-negative"),
-    "lr_opacity": (False, "non-negative"),
     "lr_color": (False, "non-negative"),
 }
 CONFIG_KEYS = frozenset(_INT_KEYS) | frozenset(_FLOAT_KEYS)

@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 from .core import GaussianSet, PointCloud, Role, knn_build, quat_normalize
 from .energy import (
+    GRAD_FIELDS,
     EnergyEval,
     e_arap,
     e_data_points,
@@ -27,6 +28,7 @@ from .energy import (
     e_sem,
     e_size,
 )
+from .errors import InvalidArgumentError
 from .render import OrthoCamera, splat
 
 DEFAULT_STEP = 1e-5
@@ -38,14 +40,6 @@ THRESHOLDS = {
     "e_sem": 1e-4,
     "e_mask": 1e-3,
     "e_l2_gauss": 1e-4,
-}
-
-_BLOCK_TO_GRAD = {
-    "positions": "grad_p",
-    "rotations": "grad_q",
-    "log_scales": "grad_s",
-    "opacities": "grad_o",
-    "colors": "grad_c",
 }
 
 
@@ -92,7 +86,7 @@ def case_error(case: GradCase, step: float = DEFAULT_STEP) -> float:
     numeric = central_difference(case.value_fn, case.blocks, step)
     worst = 0.0
     for block, grad in numeric.items():
-        analytic = getattr(case.analytic, _BLOCK_TO_GRAD[block])
+        analytic = getattr(case.analytic, GRAD_FIELDS[block])
         if analytic is None:
             raise AssertionError(f"{case.name} provides no gradient for block {block}")
         worst = max(worst, relative_error(analytic, grad))
@@ -279,6 +273,10 @@ def run_gradcheck(seed: int = 1, instances: int = 20, step: float = DEFAULT_STEP
                   terms=None) -> dict[str, float]:
     """Max relative FD error per energy term over seeded random instances."""
     names = list(_CASE_BUILDERS) if terms is None else list(terms)
+    unknown = [name for name in names if name not in _CASE_BUILDERS]
+    if unknown:
+        raise InvalidArgumentError(
+            f"unknown term {unknown[0]!r}; known terms: {', '.join(_CASE_BUILDERS)}")
     report = {}
     for name in names:
         builder = _CASE_BUILDERS[name]

@@ -1,25 +1,29 @@
-"""Optimization loops: canonical fitting, tracking, alignment, motion transfer.
+"""Optimization stages: canonical fitting, tracking, alignment, motion transfer.
 
-All four loops share the same skeleton — evaluate weighted energy terms,
-record a trace row, keep the best parameters seen so far, take one Adam step —
-and differ only in which terms and parameter blocks participate.
+Every stage is one call to ``_optimize``: a weighted sum of energy terms
+minimized by Adam over some parameter blocks. The stages differ only in their
+set-up, their terms and which blocks move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .core import (
-    GaussianSet,
-    NeighborGraph,
-    PointCloud,
-    Role,
-    knn_build,
-    quat_normalize,
+from .core import GaussianSet, PointCloud, Role, knn_build, quat_normalize
+from .energy import (
+    GRAD_FIELDS,
+    EnergyEval,
+    e_arap,
+    e_data_points,
+    e_iso,
+    e_l2_gauss,
+    e_mask,
+    e_sem,
+    e_size,
 )
-from .energy import e_arap, e_data_points, e_iso, e_l2_gauss, e_mask, e_sem, e_size
 from .errors import InvalidArgumentError
 from .render import OrthoCamera, splat
 from .warp import FrameMotion, warp_appearance
@@ -36,7 +40,7 @@ class Adam(object):
     ``step``), first/second moment buffers, and a learning-rate ramp from
     ``lr_start`` down to ``lr_end`` over ``total_steps``. Groups flagged
     ``unit_rows`` are row-normalized after every update (rotation
-    quaternions). A ``None`` gradient leaves a group untouched.
+    quaternions). Every step needs a gradient for every group.
     """
 
     def __init__(self, total_steps: int):
@@ -72,15 +76,16 @@ class Adam(object):
         return group["lr_start"] + (group["lr_end"] - group["lr_start"]) * frac
 
     def step(self, grads: dict):
-        """One update; ``grads`` maps group name to array or None (skip)."""
-        self.t += 1
-        for name, g in grads.items():
-            if g is None:
-                continue
+        """One update; ``grads`` maps every group name to its gradient array."""
+        for name in grads:
             if name not in self._groups:
                 raise InvalidArgumentError(f"gradient for unknown group {name!r}")
-            group = self._groups[name]
-            g = np.asarray(g, dtype=np.float64)
+        for name in self._groups:
+            if grads.get(name) is None:
+                raise InvalidArgumentError(f"no gradient for group {name!r}")
+        self.t += 1
+        for name, group in self._groups.items():
+            g = np.asarray(grads[name], dtype=np.float64)
             if g.shape != group["value"].shape:
                 raise InvalidArgumentError(
                     f"gradient shape {g.shape} != parameter shape "
@@ -165,7 +170,6 @@ class TrackConfig:
     lr_position: float = 1e-3
     lr_rotation: float = 1e-3
     lr_scale: float = 1e-3
-    lr_opacity: float = 1e-3
     lr_color: float = 1e-3
     lr_end_factor: float = 0.1
     seed: int = 0
@@ -201,29 +205,60 @@ class Trace:
         self.rows.append((iteration, *[float(v) for v in values]))
 
 
-def _run_loop(adam: Adam, iterations: int, evaluate, columns: tuple[str, ...],
-              post_step=None) -> tuple[dict, Trace]:
-    """Shared optimize-and-trace skeleton.
+# (trace column, weight, energy of the current set)
+Term = tuple[str, float, Callable[[GaussianSet], EnergyEval]]
 
-    ``evaluate`` maps the Adam parameter view to (term_values, grads) where
-    the last term value is the weighted total. Returns the best-so-far
-    parameter snapshot and the trace (final row = best iterate, re-logged at
-    index ``iterations``).
+
+def _evaluate(base: GaussianSet, adam: Adam, blocks, terms: list[Term]):
+    """Term values plus their weighted total, and the weighted gradient per block.
+
+    Sums start from the first term and add the rest in list order. A function
+    of its own so the current set and the term evaluations are freed before
+    the Adam step, which keeps peak memory down.
     """
-    trace = Trace(columns=("iteration",) + columns)
-    best_terms = None
-    best_params = None
+    cur = base.replace(**{name: adam[name] for name in blocks})
+    values = []
+    total = None
+    grads: dict = {}
+    for _, weight, energy in terms:
+        ev = energy(cur)
+        values.append(ev.value)
+        total = weight * ev.value if total is None else total + weight * ev.value
+        for name in blocks:
+            g = getattr(ev, GRAD_FIELDS[name])
+            if g is not None:
+                grads[name] = weight * g if name not in grads else grads[name] + weight * g
+    values.append(total)
+    return values, grads
+
+
+def _optimize(base: GaussianSet, lrs: dict[str, float], lr_end_factor: float,
+              iterations: int, terms: list[Term]) -> tuple[GaussianSet, Trace]:
+    """Minimize the weighted sum of ``terms`` over the blocks named in ``lrs``.
+
+    ``lrs`` maps each moving GaussianSet field to its start step size; it
+    decays linearly to ``lr_end_factor`` times that. Rotations stay unit rows.
+    Returns ``base`` with the best iterate's blocks (rotations normalized) and
+    the trace, whose final row re-logs the best iterate at index
+    ``iterations``.
+    """
+    adam = Adam(iterations)
+    for name, lr in lrs.items():
+        adam.add_group(name, getattr(base, name), lr, lr * lr_end_factor,
+                       unit_rows=name == "rotations")
+    trace = Trace(columns=("iteration",) + tuple(col for col, _, _ in terms) + ("total",))
+    best_values = None
+    best = None
     for it in range(iterations):
-        terms, grads = evaluate(adam)
-        trace.record(it, terms)
-        if best_terms is None or terms[-1] < best_terms[-1]:
-            best_terms = terms
-            best_params = {name: adam[name].copy() for name in grads}
+        values, grads = _evaluate(base, adam, lrs, terms)
+        trace.record(it, values)
+        if best_values is None or values[-1] < best_values[-1]:
+            best_values = values
+            best = {name: adam[name].copy() for name in lrs}
         adam.step(grads)
-        if post_step is not None:
-            post_step(adam)
-    trace.record(iterations, best_terms)
-    return best_params, trace
+    trace.record(iterations, best_values)
+    best["rotations"] = quat_normalize(best.get("rotations", base.rotations))
+    return base.replace(**best), trace
 
 
 # ---------------------------------------------------------------------------
@@ -232,52 +267,19 @@ def _run_loop(adam: Adam, iterations: int, evaluate, columns: tuple[str, ...],
 
 def init_canonical(initial: GaussianSet, target: PointCloud,
                    cfg: TrackConfig) -> tuple[GaussianSet, Trace]:
-    """Fit positions/rotations/scales/opacities/colors to a colored cloud.
+    """Fit positions/log-scales/colors to a colored cloud.
 
     Minimizes the two-sided colored point match plus the spread and size
-    penalties; opacities are clamped back into [0, 1] after every step.
+    penalties. Rotations and opacities keep their initial values; rotations
+    come back normalized.
     """
-    adam = Adam(cfg.iterations_init)
-    adam.add_group("positions", initial.positions, cfg.lr_position,
-                   cfg.lr_position * cfg.lr_end_factor)
-    adam.add_group("rotations", initial.rotations, cfg.lr_rotation,
-                   cfg.lr_rotation * cfg.lr_end_factor, unit_rows=True)
-    adam.add_group("log_scales", initial.log_scales, cfg.lr_scale,
-                   cfg.lr_scale * cfg.lr_end_factor)
-    adam.add_group("opacities", initial.opacities, cfg.lr_opacity,
-                   cfg.lr_opacity * cfg.lr_end_factor)
-    adam.add_group("colors", initial.colors, cfg.lr_color,
-                   cfg.lr_color * cfg.lr_end_factor)
-
-    def evaluate(a: Adam):
-        cur = initial.replace(positions=a["positions"], rotations=a["rotations"],
-                              log_scales=a["log_scales"],
-                              opacities=np.clip(a["opacities"], 0.0, 1.0),
-                              colors=a["colors"])
-        data = e_data_points(cur, target)
-        iso = e_iso(cur, cfg.iso_ratio_limit)
-        size = e_size(cur, cfg.size_alpha)
-        total = data.value + cfg.lambda_iso * iso.value + cfg.lambda_size * size.value
-        grads = {
-            "positions": data.grad_p,
-            "rotations": None,
-            "log_scales": cfg.lambda_iso * iso.grad_s + cfg.lambda_size * size.grad_s,
-            "opacities": None,
-            "colors": data.grad_c,
-        }
-        return (data.value, iso.value, size.value, total), grads
-
-    def clamp(a: Adam):
-        np.clip(a["opacities"], 0.0, 1.0, out=a["opacities"])
-
-    best, trace = _run_loop(adam, cfg.iterations_init, evaluate,
-                            ("e_data", "e_iso", "e_size", "total"), post_step=clamp)
-    fitted = initial.replace(positions=best["positions"],
-                             rotations=quat_normalize(best["rotations"]),
-                             log_scales=best["log_scales"],
-                             opacities=np.clip(best["opacities"], 0.0, 1.0),
-                             colors=best["colors"])
-    return fitted, trace
+    return _optimize(
+        initial,
+        {"positions": cfg.lr_position, "log_scales": cfg.lr_scale, "colors": cfg.lr_color},
+        cfg.lr_end_factor, cfg.iterations_init,
+        [("e_data", 1.0, lambda cur: e_data_points(cur, target)),
+         ("e_iso", cfg.lambda_iso, lambda cur: e_iso(cur, cfg.iso_ratio_limit)),
+         ("e_size", cfg.lambda_size, lambda cur: e_size(cur, cfg.size_alpha))])
 
 
 # ---------------------------------------------------------------------------
@@ -300,30 +302,12 @@ def track_sequence(canonical: GaussianSet, targets: list[PointCloud],
     results: list[GaussianSet] = []
     traces: list[Trace] = []
     for t, cloud in enumerate(targets, start=1):
-        adam = Adam(cfg.iterations_track)
-        adam.add_group("positions", prev.positions, cfg.lr_position,
-                       cfg.lr_position * cfg.lr_end_factor)
-        adam.add_group("rotations", prev.rotations, cfg.lr_rotation,
-                       cfg.lr_rotation * cfg.lr_end_factor, unit_rows=True)
-        prev_frame = prev
-
-        def evaluate(a: Adam):
-            cur = prev_frame.replace(positions=a["positions"],
-                                     rotations=a["rotations"], frame=t)
-            data = e_data_points(cur, cloud)
-            arap = e_arap(prev_frame, cur, graph)
-            total = data.value + arap.value
-            grads = {
-                "positions": data.grad_p + arap.grad_p,
-                "rotations": arap.grad_q,
-            }
-            return (data.value, arap.value, total), grads
-
-        best, trace = _run_loop(adam, cfg.iterations_track, evaluate,
-                                ("e_data", "e_arap", "total"))
-        prev = prev_frame.replace(positions=best["positions"],
-                                  rotations=quat_normalize(best["rotations"]),
-                                  frame=t)
+        prev, trace = _optimize(
+            prev.replace(frame=t),
+            {"positions": cfg.lr_position, "rotations": cfg.lr_rotation},
+            cfg.lr_end_factor, cfg.iterations_track,
+            [("e_data", 1.0, lambda cur: e_data_points(cur, cloud)),
+             ("e_arap", 1.0, lambda cur: e_arap(prev, cur, graph))])
         results.append(prev)
         traces.append(trace)
     return results, traces
@@ -400,7 +384,6 @@ def match_clusters(source: GaussianSet, driver: GaussianSet,
 
 def align_canonical(source: GaussianSet, driver: GaussianSet,
                     cameras: list[OrthoCamera], cfg: TransferConfig,
-                    truncation_radius: float | None = None,
                     ) -> tuple[GaussianSet, Trace]:
     """Deform the source appearance set into the driver's canonical pose.
 
@@ -409,37 +392,18 @@ def align_canonical(source: GaussianSet, driver: GaussianSet,
     matched-cluster centroid distance, and rigidity against the original
     source (which anchors local shape while the body moves globally).
     """
-    radius = cfg.truncation_radius if truncation_radius is None else truncation_radius
+    radius = cfg.truncation_radius
     masks = [splat(driver, cam, truncation_radius=radius).alpha for cam in cameras]
     clusters = match_clusters(source, driver, cfg.clusters_per_label, cfg.seed)
     graph = knn_build(source.positions, source.positions, cfg.k_neighbors,
                       cfg.length_scale, normalize=False)
-
-    adam = Adam(cfg.iterations_align)
-    adam.add_group("positions", source.positions, cfg.lr_position,
-                   cfg.lr_position * cfg.lr_end_factor)
-    adam.add_group("rotations", source.rotations, cfg.lr_rotation,
-                   cfg.lr_rotation * cfg.lr_end_factor, unit_rows=True)
-
-    def evaluate(a: Adam):
-        cur = source.replace(positions=a["positions"], rotations=a["rotations"])
-        mask = e_mask(cur, masks, cameras, truncation_radius=radius)
-        sem = e_sem(cur, clusters.targets, clusters.members)
-        arap = e_arap(source, cur, graph)
-        total = (mask.value + cfg.lambda_sem * sem.value
-                 + cfg.lambda_arap_align * arap.value)
-        grads = {
-            "positions": (mask.grad_p + cfg.lambda_sem * sem.grad_p
-                          + cfg.lambda_arap_align * arap.grad_p),
-            "rotations": mask.grad_q + cfg.lambda_arap_align * arap.grad_q,
-        }
-        return (mask.value, sem.value, arap.value, total), grads
-
-    best, trace = _run_loop(adam, cfg.iterations_align, evaluate,
-                            ("e_mask", "e_sem", "e_arap", "total"))
-    aligned = source.replace(positions=best["positions"],
-                             rotations=quat_normalize(best["rotations"]))
-    return aligned, trace
+    return _optimize(
+        source,
+        {"positions": cfg.lr_position, "rotations": cfg.lr_rotation},
+        cfg.lr_end_factor, cfg.iterations_align,
+        [("e_mask", 1.0, lambda cur: e_mask(cur, masks, cameras, truncation_radius=radius)),
+         ("e_sem", cfg.lambda_sem, lambda cur: e_sem(cur, clusters.targets, clusters.members)),
+         ("e_arap", cfg.lambda_arap_align, lambda cur: e_arap(source, cur, graph))])
 
 
 # ---------------------------------------------------------------------------
@@ -466,27 +430,13 @@ def transfer_motion(aligned: GaussianSet, source_canonical: GaussianSet,
     traces: list[Trace] = []
     for fm in motions:
         target = warp_appearance(aligned, fm, skin)
-        adam = Adam(cfg.iterations_transfer)
-        adam.add_group("positions", target.positions, cfg.lr_position,
-                       cfg.lr_position * cfg.lr_end_factor)
-        adam.add_group("rotations", target.rotations, cfg.lr_rotation,
-                       cfg.lr_rotation * cfg.lr_end_factor, unit_rows=True)
-
-        def evaluate(a: Adam, target=target):
-            cur = target.replace(positions=a["positions"], rotations=a["rotations"])
-            track = e_l2_gauss(cur, target)
-            arap = e_arap(source_canonical, cur, rigid)
-            total = track.value + cfg.lambda_arap_transfer * arap.value
-            grads = {
-                "positions": track.grad_p + cfg.lambda_arap_transfer * arap.grad_p,
-                "rotations": track.grad_q + cfg.lambda_arap_transfer * arap.grad_q,
-            }
-            return (track.value, arap.value, total), grads
-
-        best, trace = _run_loop(adam, cfg.iterations_transfer, evaluate,
-                                ("e_l2", "e_arap", "total"))
-        results.append(target.replace(positions=best["positions"],
-                                      rotations=quat_normalize(best["rotations"]),
-                                      frame=fm.frame))
+        result, trace = _optimize(
+            target,
+            {"positions": cfg.lr_position, "rotations": cfg.lr_rotation},
+            cfg.lr_end_factor, cfg.iterations_transfer,
+            [("e_l2", 1.0, lambda cur: e_l2_gauss(cur, target)),
+             ("e_arap", cfg.lambda_arap_transfer,
+              lambda cur: e_arap(source_canonical, cur, rigid))])
+        results.append(result)
         traces.append(trace)
     return results, traces

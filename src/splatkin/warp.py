@@ -1,10 +1,9 @@
 """Embedded skinning: per-kernel relative transforms, appearance warping,
-map disassembly/assembly, and the pluggable attribute-regressor seam."""
+and map disassembly/assembly."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -161,45 +160,3 @@ def assemble(
         labels=labels,
         label_names=label_names,
     )
-
-
-def pseudo_gt_attributes(warped: GaussianSet, mapping: MortonMapping) -> dict[str, AttributeMap]:
-    """Rotation/shape/color maps of a warped set: the warm-up target any
-    learned attribute regressor is trained against."""
-    maps = disassemble(warped, mapping)
-    return {k: maps[k] for k in ("rotation", "shape", "color")}
-
-
-class AttributeRegressor(Protocol):
-    """Anything that predicts rotation/shape/color maps from a position map."""
-
-    def regress(self, position_map: AttributeMap, mapping: MortonMapping) -> dict[str, AttributeMap]:
-        ...
-
-
-def baseline_regress(
-    position_map: AttributeMap,
-    mapping: MortonMapping,
-    canonical: GaussianSet,
-    frame_motion: FrameMotion,
-    graph: NeighborGraph,
-) -> dict[str, AttributeMap]:
-    """Deterministic reference regressor: recompute the warp and return its
-    pseudo ground-truth maps. The position map's content is intentionally
-    ignored; only its resolution is checked against the mapping."""
-    if position_map.resolution != tuple(mapping.resolution):
-        raise InvalidArgumentError("position map resolution does not match mapping")
-    warped = warp_appearance(canonical, frame_motion, graph)
-    return pseudo_gt_attributes(warped, mapping)
-
-
-@dataclass
-class WarpFieldRegressor:
-    """AttributeRegressor backed by the analytic warp (the deterministic baseline)."""
-
-    canonical: GaussianSet
-    frame_motion: FrameMotion
-    graph: NeighborGraph
-
-    def regress(self, position_map: AttributeMap, mapping: MortonMapping) -> dict[str, AttributeMap]:
-        return baseline_regress(position_map, mapping, self.canonical, self.frame_motion, self.graph)

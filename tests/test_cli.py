@@ -230,6 +230,17 @@ class TestExitCodes:
         assert rc == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_removed_config_key_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("lr_opacity=0.01\n")
+        rc = _run("init", "--config", cfg, "--input", tmp_path / "a.gset",
+                  "--target", tmp_path / "b.gset", "--out", tmp_path / "c.gset",
+                  "--trace", tmp_path / "t.csv")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unknown key 'lr_opacity'" in err
+
     def test_missing_required_argument_is_usage_error(self, capsys):
         assert _run("init") == 2
         capsys.readouterr()
@@ -260,3 +271,11 @@ class TestGradcheckCommand:
         assert rc == 0
         assert len(out) == 1
         assert out[0].startswith("e_arap")
+
+    def test_unknown_term_is_runtime_error(self, capsys):
+        rc = _run("gradcheck", "--instances", 1, "--terms", "e_arap,e_nope")
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "'e_nope'" in captured.err and "e_l2_gauss" in captured.err

@@ -47,9 +47,6 @@ class TestGaussianSet:
         g = _set(n=5, channels=2)
         assert len(g) == 5
         assert g.color_channels == 2
-        k = g.kernel(3)
-        assert np.array_equal(k.position, g.positions[3])
-        assert k.label is None
 
     def test_arrays_are_read_only(self):
         g = _set()

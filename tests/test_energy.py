@@ -149,17 +149,10 @@ class TestL2Gauss:
 
     def test_rotation_sign_invariance(self):
         g = _rand_set(6, seed=5)
+        # equal positions: only the rotation channel could contribute
         flipped = g.replace(rotations=-g.rotations)
-        out = e_l2_gauss(g, flipped, positions=False, rotations=True)
+        out = e_l2_gauss(g, flipped)
         assert out.value == pytest.approx(0.0, abs=1e-15)
-
-    def test_channel_selection(self):
-        g = _rand_set(3, seed=6)
-        t = _rand_set(3, seed=7)
-        p_only = e_l2_gauss(g, t, positions=True, rotations=False)
-        assert p_only.grad_q is None and p_only.grad_p is not None
-        with pytest.raises(InvalidArgumentError):
-            e_l2_gauss(g, t, positions=False, rotations=False)
 
 
 class TestArap:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from splatkin.core import PointCloud, Role, knn_build, quat_normalize
-from splatkin.energy import e_arap
+from splatkin.energy import e_arap, e_data_points
 from splatkin.errors import InvalidArgumentError
 from splatkin.pipeline import (
     Adam,
     TrackConfig,
     TransferConfig,
+    _optimize,
     align_canonical,
     init_canonical,
     kmeans,
@@ -43,13 +44,14 @@ class TestAdam:
         adam.step({"x": np.zeros(2)})
         assert np.array_equal(adam["x"], [1.0, 2.0])
 
-    def test_none_gradient_skips_group(self):
+    def test_missing_gradient_names_group(self):
         adam = Adam(total_steps=5)
         adam.add_group("x", np.ones(3), lr_start=0.5)
         adam.add_group("y", np.ones(3), lr_start=0.5)
-        adam.step({"x": np.ones(3), "y": None})
-        assert not np.array_equal(adam["x"], np.ones(3))
-        assert np.array_equal(adam["y"], np.ones(3))
+        for grads in ({"x": np.ones(3), "y": None}, {"x": np.ones(3)}):
+            with pytest.raises(InvalidArgumentError, match="'y'"):
+                adam.step(grads)
+        assert np.array_equal(adam["x"], np.ones(3))  # no group moved
 
     def test_learning_rate_decays_linearly(self):
         adam = Adam(total_steps=11)
@@ -170,6 +172,15 @@ def _fast_track_cfg(**kw):
                 k_neighbors=4, lr_position=2e-3, lr_rotation=2e-3, seed=0)
     base.update(kw)
     return TrackConfig(**base)
+
+
+class TestOptimize:
+    def test_block_without_gradient_is_rejected(self):
+        # a moving block that no term has a gradient for is a dead Adam group
+        sc = make_scene("cylinder", 20, 40, seed=13)
+        with pytest.raises(InvalidArgumentError, match="log_scales"):
+            _optimize(sc.motion_set(), {"positions": 1e-3, "log_scales": 1e-3}, 0.1, 3,
+                      [("e_data", 1.0, lambda cur: e_data_points(cur, sc.motion))])
 
 
 class TestInitCanonical:

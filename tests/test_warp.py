@@ -8,12 +8,9 @@ from splatkin.errors import InvalidArgumentError
 from splatkin.morton import build_mapping
 from splatkin.warp import (
     FrameMotion,
-    WarpFieldRegressor,
     apply_motion,
     assemble,
-    baseline_regress,
     disassemble,
-    pseudo_gt_attributes,
     relative_motion,
     warp_appearance,
 )
@@ -153,25 +150,3 @@ class TestAttributeRoundTrip:
         del maps["rotation"]
         with pytest.raises(InvalidArgumentError):
             assemble(maps, mapping, role=Role.APPEARANCE)
-
-
-class TestBaselineRegressor:
-    def test_matches_direct_warp(self):
-        motion_set = _rand_set(8, seed=21)
-        appearance = _rand_set(30, seed=22, role=Role.APPEARANCE)
-        current = _rand_set(8, seed=23)
-        graph = knn_build(appearance.positions, motion_set.positions, 3, 0.4,
-                          normalize=True)
-        motion = relative_motion(motion_set, current)
-        warped = warp_appearance(appearance, motion, graph)
-        mapping = build_mapping(appearance.positions, (6, 5), bits=6)
-        expect = pseudo_gt_attributes(warped, mapping)
-        maps = disassemble(warped, mapping)
-        got = baseline_regress(maps["position"], mapping, appearance, motion, graph)
-        assert sorted(got) == sorted(expect)
-        for key in expect:
-            assert np.array_equal(got[key].data, expect[key].data), key
-        reg = WarpFieldRegressor(canonical=appearance, frame_motion=motion, graph=graph)
-        via_protocol = reg.regress(maps["position"], mapping)
-        for key in expect:
-            assert np.array_equal(via_protocol[key].data, expect[key].data), key
