@@ -299,7 +299,7 @@ def _add_common(sub, config=True):
         sub.add_argument("--config", help="key=value configuration file")
         sub.add_argument("--seed", type=int, help="override the configured seed")
     sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; results do not depend on it")
+                     help="has no effect: all work runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,11 +11,18 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateBlendError, InvalidArgumentError
 
 # Below this norm a quaternion (or a blend of quaternions) is treated as degenerate.
 DEGENERATE_NORM = 1e-9
+
+# knn_build asks the k-d tree for this many neighbors beyond k, and accepts a row
+# once its farthest candidate exceeds the k-th squared distance by this relative
+# margin (far above the rounding difference between the tree and the recomputation)
+_KNN_SLACK = 4
+_KNN_MARGIN = 1e-9
 
 
 class Role(Enum):
@@ -333,7 +340,6 @@ def knn_build(
     k: int,
     length_scale: float,
     normalize: bool,
-    chunk: int = 1024,
 ) -> NeighborGraph:
     """Exact k nearest neighbors with RBF weights.
 
@@ -341,6 +347,11 @@ def knn_build(
     on squared distance). Normalized weights are computed with max-shifted
     exponentials, which is algebraically the same as dividing raw RBF values
     by their sum but never underflows for small length scales.
+
+    A k-d tree proposes candidates; squared distances are recomputed on them
+    with the same expression a brute-force search would use, and a row's
+    candidate list is widened until its farthest candidate is clearly farther
+    than its k-th nearest, so ties and rounding never change the result.
     """
     query = _float_array(query, "query")
     reference = _float_array(reference, "reference")
@@ -355,15 +366,26 @@ def knn_build(
     if not (np.isfinite(length_scale) and length_scale > 0.0):
         raise InvalidArgumentError(f"length_scale must be positive, got {length_scale}")
 
-    n = query.shape[0]
+    n, m = query.shape[0], reference.shape[0]
+    tree = cKDTree(reference)
     indices = np.empty((n, k), dtype=np.int64)
     d2_sel = np.empty((n, k), dtype=np.float64)
-    for start in range(0, n, chunk):
-        block = query[start : start + chunk]
-        d2 = np.sum((block[:, None, :] - reference[None, :, :]) ** 2, axis=2)
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        indices[start : start + block.shape[0]] = order
-        d2_sel[start : start + block.shape[0]] = np.take_along_axis(d2, order, axis=1)
+    rows = np.arange(n)
+    width = min(k + _KNN_SLACK, m)
+    while rows.size:
+        _, cand = tree.query(query[rows], k=width)
+        cand = np.sort(cand.reshape(rows.size, width), axis=1)
+        d2 = np.sum((query[rows, None, :] - reference[cand]) ** 2, axis=2)
+        order = np.argsort(d2, axis=1, kind="stable")
+        d2 = np.take_along_axis(d2, order, axis=1)
+        indices[rows] = np.take_along_axis(cand, order[:, :k], axis=1)
+        d2_sel[rows] = d2[:, :k]
+        if width == m:
+            break
+        # a point outside the candidates is at least as far as the farthest one,
+        # up to rounding, so it cannot tie or beat the k-th once this margin holds
+        rows = rows[~(d2[:, -1] > d2[:, k - 1] * (1.0 + _KNN_MARGIN))]
+        width = min(2 * width, m)
 
     inv_l2 = 1.0 / length_scale**2
     if normalize:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import chain
 
 import numpy as np
 
@@ -18,6 +19,10 @@ from .morton import AttributeMap, MortonMapping
 
 GMAP_MAGIC = b"GMAP"
 GMAP_VERSION = 1
+
+# gset records are parsed and formatted this many at a time, so the Python
+# strings and floats of one chunk are all that is alive at once
+_CHUNK_RECORDS = 256
 
 
 def _fmt(x: float) -> str:
@@ -49,26 +54,20 @@ def _parse_int(token: str, where: str) -> int:
 
 def write_gset(path, gset: GaussianSet) -> None:
     """One kernel per line after a five-line header; optional trailing label id."""
-    lines = [
-        "GSET 1",
-        f"role {gset.role.value}",
-        f"frame {gset.frame}",
-        f"count {len(gset)}",
-        f"color_channels {gset.color_channels}",
-    ]
-    has_labels = gset.labels is not None
-    for i in range(len(gset)):
-        fields = [str(i)]
-        fields += [_fmt(v) for v in gset.positions[i]]
-        fields += [_fmt(v) for v in gset.rotations[i]]
-        fields += [_fmt(v) for v in gset.log_scales[i]]
-        fields.append(_fmt(gset.opacities[i]))
-        fields += [_fmt(v) for v in gset.colors[i]]
-        if has_labels:
-            fields.append(str(int(gset.labels[i])))
-        lines.append(" ".join(fields))
+    table = np.hstack([gset.positions, gset.rotations, gset.log_scales,
+                       gset.opacities[:, None], gset.colors])
+    if not np.all(np.isfinite(table)):
+        raise InvalidArgumentError("refusing to write non-finite value")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"GSET 1\nrole {gset.role.value}\nframe {gset.frame}\ncount {len(gset)}\n"
+                 f"color_channels {gset.color_channels}\n")
+        for start in range(0, len(gset), _CHUNK_RECORDS):
+            stop = start + _CHUNK_RECORDS
+            rows = [" ".join(map(repr, row)) for row in table[start:stop].tolist()]
+            if gset.labels is not None:
+                labels = gset.labels[start:stop].tolist()
+                rows = [f"{row} {label}" for row, label in zip(rows, labels)]
+            fh.write("".join(f"{i} {row}\n" for i, row in enumerate(rows, start)))
 
 
 def _header_line(lines: list[str], lineno: int, key: str, path) -> str:
@@ -78,6 +77,56 @@ def _header_line(lines: list[str], lineno: int, key: str, path) -> str:
     if len(parts) != 2 or parts[0] != key:
         raise FormatError(f"{path}:{lineno + 1}: expected '{key} <value>', got {lines[lineno]!r}")
     return parts[1]
+
+
+def _parse_all(parse, tokens: list, fallback=None) -> list:
+    """``parse`` over every token; a token it rejects becomes ``fallback``."""
+    try:
+        return list(map(parse, tokens))
+    except ValueError:
+        def lenient(token):
+            try:
+                return parse(token)
+            except ValueError:
+                return fallback
+        return list(map(lenient, tokens))
+
+
+def _parse_records(records: list[str], start: int, base: int, labeled: bool, path):
+    """Bulk-parse gset records numbered from ``start``: (values (n, base), label ids).
+
+    The first record failing any check is re-checked on its own, so the error
+    is the one a record-by-record pass would raise.
+    """
+    fields = base + 1 + labeled
+    tokens = [ln.split() for ln in records]
+    whole = next((i for i, tok in enumerate(tokens) if len(tok) != fields), len(tokens))
+    flat = list(chain.from_iterable(tokens[:whole]))  # records before `whole` are whole
+    index = _parse_all(int, flat[0::fields])
+    values = np.array(_parse_all(float, [t for tok in tokens[:whole] for t in tok[1:base + 1]],
+                                 math.nan)).reshape(whole, base)
+    labels = _parse_all(int, flat[base + 1::fields]) if labeled else []
+    not_finite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    first = min(whole,
+                next((i for i, v in enumerate(index) if v != start + i), whole),
+                int(not_finite[0]) if not_finite.size else whole,
+                next((i for i, v in enumerate(labels) if v is None or v < 0), whole))
+    if first < len(tokens):
+        _check_record(tokens[first], start + first, base, labeled, f"{path}:{6 + start + first}")
+    return values, labels
+
+
+def _check_record(tok: list[str], i: int, base: int, labeled: bool, where: str) -> None:
+    """read_gset's checks of one record, in order; raises on the first that fails."""
+    if len(tok) != base + 1 + labeled:
+        raise FormatError(f"{where}: record has {len(tok)} fields, expected "
+                          f"{base + 1 + labeled}")
+    if _parse_int(tok[0], where) != i:
+        raise FormatError(f"{where}: record index {tok[0]} out of order (expected {i})")
+    for t in tok[1:base + 1]:
+        _parse_float(t, where)
+    if labeled and _parse_int(tok[-1], where) < 0:
+        raise FormatError(f"{where}: negative label id")
 
 
 def read_gset(path, label_names: tuple[str, ...] | None = None) -> GaussianSet:
@@ -128,25 +177,16 @@ def read_gset(path, label_names: tuple[str, ...] | None = None) -> GaussianSet:
     opacities = np.empty(count)
     colors = np.empty((count, channels))
     labels = np.empty(count, dtype=np.int64) if labeled else None
-    for i, line in enumerate(records):
-        where = f"{path}:{6 + i}"
-        tok = line.split()
-        if len(tok) != base + 1 + labeled:
-            raise FormatError(f"{where}: record has {len(tok)} fields, expected "
-                              f"{base + 1 + labeled}")
-        if _parse_int(tok[0], where) != i:
-            raise FormatError(f"{where}: record index {tok[0]} out of order (expected {i})")
-        values = [_parse_float(t, where) for t in tok[1:base + 1]]
-        positions[i] = values[0:3]
-        rotations[i] = values[3:7]
-        log_scales[i] = values[7:10]
-        opacities[i] = values[10]
-        colors[i] = values[11:]
+    for start in range(0, count, _CHUNK_RECORDS):
+        rows = slice(start, start + _CHUNK_RECORDS)
+        values, chunk_labels = _parse_records(records[rows], start, base, labeled, path)
+        positions[rows] = values[:, 0:3]
+        rotations[rows] = values[:, 3:7]
+        log_scales[rows] = values[:, 7:10]
+        opacities[rows] = values[:, 10]
+        colors[rows] = values[:, 11:]
         if labeled:
-            label = _parse_int(tok[-1], where)
-            if label < 0:
-                raise FormatError(f"{where}: negative label id")
-            labels[i] = label
+            labels[rows] = chunk_labels
     try:
         return GaussianSet(positions=positions, rotations=rotations,
                            log_scales=log_scales, opacities=opacities,

@@ -173,7 +173,14 @@ def _footprints(gset: GaussianSet, camera: OrthoCamera, truncation_radius: float
     )
     opac = np.minimum(gset.opacities[kept], opacity_ceiling)
     valid = inside & (qform <= truncation_radius**2) & (opac[:, None] > 0.0)
-    g = np.where(valid, opac[:, None] * np.exp(-0.5 * np.where(valid, qform, 0.0)), 0.0)
+    # g = where(valid, opac * exp(-0.5 * qform), 0), built in qform's buffer
+    g = qform
+    invalid = ~valid
+    g[invalid] = 0.0
+    g *= -0.5
+    np.exp(g, out=g)
+    g *= opac[:, None]
+    g[invalid] = 0.0
     return _Footprints(kept=kept, skipped=skipped, means=mu, inv_covs=inv, depths=dep,
                        pix_x=pix_x, pix_y=pix_y, valid=valid, g=g, d=d,
                        pixel_matrix=camera.pixel_matrix())
@@ -206,34 +213,57 @@ def splat(gset: GaussianSet, camera: OrthoCamera, truncation_radius: float = 3.0
     w_px, h_px = camera.resolution
     fp = _footprints(gset, camera, truncation_radius)
 
-    one_minus = np.ones((h_px, w_px))
-    if fp.kept.size:
-        v = fp.valid
-        np.multiply.at(one_minus, (fp.pix_y[v], fp.pix_x[v]), 1.0 - fp.g[v])
-    alpha = 1.0 - one_minus
+    # flat valid entries, kernel-major (kept order), pixels in footprint order;
+    # the padded (K,P) footprint arrays are freed before compositing
+    flat = np.flatnonzero(fp.valid)
+    row = flat // max(fp.valid.shape[1], 1)
+    pix = np.stack([fp.pix_x.ravel()[flat], fp.pix_y.ravel()[flat]], axis=1)
+    g = fp.g.ravel()[flat]
+    counts = np.zeros(len(gset), dtype=np.int64)
+    counts[fp.kept] = np.bincount(row, minlength=fp.kept.size)
+    depth_rank = np.empty(fp.kept.size, dtype=np.int64)
+    depth_rank[np.argsort(fp.depths, kind="stable")] = np.arange(fp.kept.size)
+    kernel_color = gset.colors[fp.kept, :3]
+    skipped = fp.skipped
+    del flat, fp
 
-    rgb = np.zeros((h_px, w_px, 3))
-    transmittance = np.ones((h_px, w_px))
-    order = np.argsort(fp.depths, kind="stable")
-    colors = gset.colors[:, :3]
-    for row in order:
-        sel = fp.valid[row]
-        if not np.any(sel):
-            continue
-        xs = fp.pix_x[row, sel]
-        ys = fp.pix_y[row, sel]
-        gi = fp.g[row, sel]
-        t_here = transmittance[ys, xs]
-        rgb[ys, xs] += (gi * t_here)[:, None] * colors[fp.kept[row]]
-        transmittance[ys, xs] = t_here * (1.0 - gi)
+    pixel = pix[:, 1] * w_px + pix[:, 0]
+    one_minus = np.ones(h_px * w_px)
+    np.multiply.at(one_minus, pixel, 1.0 - g)
+    alpha = (1.0 - one_minus).reshape(h_px, w_px)
+    rgb = _composite(pixel, depth_rank[row], row, g, kernel_color, h_px * w_px)
 
-    footprints: list = [
-        (np.zeros((0, 2), dtype=np.int64), np.zeros(0)) for _ in range(len(gset))
-    ]
-    for row, kernel_index in enumerate(fp.kept):
-        sel = fp.valid[row]
-        pix = np.stack([fp.pix_x[row, sel], fp.pix_y[row, sel]], axis=1)
-        footprints[int(kernel_index)] = (pix, fp.g[row, sel].copy())
+    ends = np.cumsum(counts)
+    footprints = list(zip(np.split(pix, ends)[:-1], np.split(g, ends)[:-1]))
+    return RenderOutput(rgb=np.clip(rgb.reshape(h_px, w_px, 3), 0.0, 1.0), alpha=alpha,
+                        footprints=footprints, skipped=skipped)
 
-    return RenderOutput(rgb=np.clip(rgb, 0.0, 1.0), alpha=alpha, footprints=footprints,
-                        skipped=fp.skipped)
+
+def _composite(pixel, rank, row, g, kernel_color, n_pixels) -> np.ndarray:
+    """Front-to-back color over flat (pixel, depth rank, kernel row, g) entries.
+
+    Entries are sorted by (pixel, depth rank) and processed in layers: layer r
+    holds every pixel's r-th closest kernel, so each pixel sees the same
+    arithmetic in the same order as a kernel-by-kernel loop in depth order.
+    """
+    # keys are unique: a kernel covers a pixel at most once
+    order = np.argsort(pixel * kernel_color.shape[0] + rank)
+    sorted_pixel = pixel[order]
+    starts = np.flatnonzero(np.diff(sorted_pixel, prepend=-1))
+    overlap = np.diff(starts, append=sorted_pixel.size)  # entries per covered pixel
+    by_overlap = np.argsort(-overlap, kind="stable")  # layer r touches a prefix of these pixels
+    starts, overlap = starts[by_overlap], overlap[by_overlap]
+    pixels = sorted_pixel[starts]
+    color = np.zeros((pixels.size, 3))
+    transmittance = np.ones(pixels.size)
+    # pixels with more than `layer` entries, for every layer
+    active = np.searchsorted(-overlap, -np.arange(overlap[0] if overlap.size else 0))
+    for layer, n in enumerate(active):
+        entry = order[starts[:n] + layer]
+        gi = g[entry]
+        t_here = transmittance[:n]
+        color[:n] += (gi * t_here)[:, None] * kernel_color[row[entry]]
+        transmittance[:n] = t_here * (1.0 - gi)
+    rgb = np.zeros((n_pixels, 3))
+    rgb[pixels] = color
+    return rgb

@@ -247,3 +247,72 @@ class TestNeighbors:
         ref = np.zeros((3, 3))
         with pytest.raises(InvalidArgumentError):
             knn_build(ref, ref, k=4, length_scale=1.0, normalize=False)
+
+
+def _knn_brute(query, reference, k, length_scale, normalize):
+    """Brute-force reference for knn_build: stable sort of every squared distance."""
+    d2 = np.sum((query[:, None, :] - reference[None, :, :]) ** 2, axis=2)
+    indices = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    d2_sel = np.take_along_axis(d2, indices, axis=1)
+    inv_l2 = 1.0 / length_scale**2
+    if normalize:
+        shifted = np.exp(-(d2_sel - d2_sel.min(axis=1, keepdims=True)) * inv_l2)
+        return indices, shifted / shifted.sum(axis=1, keepdims=True)
+    return indices, np.exp(-d2_sel * inv_l2)
+
+
+def _cloud(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(size=(n, 3))
+    if kind == "lattice":  # exact ties: integer coordinates, exact squared distances
+        return rng.integers(-2, 3, size=(n, 3)).astype(np.float64) * 0.5
+    # many exact duplicates of a few points
+    return rng.normal(size=(3, 3))[rng.integers(0, 3, size=n)]
+
+
+class TestKnnMatchesBruteForce:
+    def _check(self, query, reference, k, length_scale):
+        for normalize in (False, True):
+            graph = knn_build(query, reference, k, length_scale, normalize)
+            indices, weights = _knn_brute(query, reference, k, length_scale, normalize)
+            assert graph.indices.tobytes() == indices.tobytes()
+            assert graph.weights.tobytes() == weights.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["random", "lattice", "duplicates"]),
+           n_query=st.integers(1, 40), n_ref=st.integers(1, 60), k_frac=st.floats(0.0, 1.0),
+           self_query=st.booleans(), length_scale=st.sampled_from([1e-3, 0.05, 1.0, 30.0]),
+           seed=st.integers(0, 2**16))
+    def test_property(self, kind, n_query, n_ref, k_frac, self_query, length_scale, seed):
+        reference = _cloud(kind, n_ref, seed)
+        query = reference if self_query else _cloud(kind, n_query, seed + 1)
+        k = 1 + int(k_frac * (n_ref - 1))
+        self._check(query, reference, k, length_scale)
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
+    def test_k_equals_reference_size(self, kind):
+        reference = _cloud(kind, 25, 1)
+        self._check(_cloud(kind, 10, 2), reference, 25, 0.5)
+
+    @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
+    def test_single_query(self, kind):
+        self._check(_cloud(kind, 1, 3), _cloud(kind, 50, 4), 6, 0.5)
+
+    def test_lattice_self_query_with_many_ties(self):
+        axis = np.arange(5.0)
+        lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        self._check(lattice, lattice, 7, 1.0)  # 6 face neighbours tie at distance 1
+        self._check(lattice + 0.5, lattice, 9, 1.0)  # 8 cube corners tie
+
+    def test_duplicates_beyond_slack(self):
+        reference = np.repeat(np.random.default_rng(5).normal(size=(4, 3)), 30, axis=0)
+        self._check(reference, reference, 3, 0.2)
+        self._check(reference, reference, 40, 0.2)
+
+    def test_tiny_length_scale(self):
+        self._check(_cloud("random", 30, 6), _cloud("random", 80, 7), 5, 1e-4)
+
+    def test_larger_self_query(self):
+        cloud = _cloud("random", 2000, 8)
+        self._check(cloud, cloud, 8, 0.1)

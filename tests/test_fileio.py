@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splatkin import fileio
 from splatkin.core import GaussianSet, Role, quat_normalize
 from splatkin.errors import FormatError, InvalidArgumentError, TruncationError
 from splatkin.fileio import (
@@ -211,6 +212,27 @@ class TestKernelSetFiles:
         lines[5] = " ".join(tok)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError):
+            read_gset(path)
+
+    def test_records_span_several_chunks(self, tmp_path, monkeypatch):
+        gset = _random_set(np.random.default_rng(16), n=11, labels=True)
+        write_gset(tmp_path / "whole.gset", gset)
+        monkeypatch.setattr(fileio, "_CHUNK_RECORDS", 4)
+        path = tmp_path / "chunked.gset"
+        write_gset(path, gset)
+        assert path.read_bytes() == (tmp_path / "whole.gset").read_bytes()
+        back = read_gset(path, label_names=("left", "right"))
+        assert np.array_equal(back.colors, gset.colors)
+        assert np.array_equal(back.labels, gset.labels)
+        lines = path.read_text().splitlines()
+        tok = lines[14].split()  # record 9, in the third chunk
+        tok[3] = "bogus"
+        lines[14] = " ".join(tok)
+        tok = lines[15].split()
+        tok[-1] = "-1"
+        lines[15] = " ".join(tok)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"chunked\.gset:15: bad float 'bogus'"):
             read_gset(path)
 
     def test_refuses_to_write_non_finite(self, tmp_path):

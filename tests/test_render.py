@@ -5,7 +5,7 @@ import pytest
 
 from splatkin.core import GaussianSet, Role, quat_normalize
 from splatkin.errors import InvalidArgumentError
-from splatkin.render import OrthoCamera, project, splat
+from splatkin.render import OrthoCamera, _footprints, project, splat
 
 
 def _set(positions, opacities, colors=None, log_scale=-1.0, rotations=None):
@@ -162,3 +162,74 @@ class TestFootprints:
             for (x, y), gi in zip(pix, contrib):
                 one_minus[y, x] *= 1.0 - gi
         assert np.abs((1.0 - one_minus) - out.alpha).max() < 1e-12
+
+
+def _splat_reference(gset, camera, truncation_radius=3.0):
+    """Kernel-by-kernel splat: the reference for splat's batched compositing."""
+    w_px, h_px = camera.resolution
+    fp = _footprints(gset, camera, truncation_radius)
+    one_minus = np.ones((h_px, w_px))
+    if fp.kept.size:
+        v = fp.valid
+        np.multiply.at(one_minus, (fp.pix_y[v], fp.pix_x[v]), 1.0 - fp.g[v])
+    rgb = np.zeros((h_px, w_px, 3))
+    transmittance = np.ones((h_px, w_px))
+    colors = gset.colors[:, :3]
+    for row in np.argsort(fp.depths, kind="stable"):
+        sel = fp.valid[row]
+        xs = fp.pix_x[row, sel]
+        ys = fp.pix_y[row, sel]
+        gi = fp.g[row, sel]
+        t_here = transmittance[ys, xs]
+        rgb[ys, xs] += (gi * t_here)[:, None] * colors[fp.kept[row]]
+        transmittance[ys, xs] = t_here * (1.0 - gi)
+    footprints = [(np.zeros((0, 2), dtype=np.int64), np.zeros(0)) for _ in range(len(gset))]
+    for row, kernel_index in enumerate(fp.kept):
+        sel = fp.valid[row]
+        pix = np.stack([fp.pix_x[row, sel], fp.pix_y[row, sel]], axis=1)
+        footprints[kernel_index] = (pix, fp.g[row, sel].copy())
+    return np.clip(rgb, 0.0, 1.0), 1.0 - one_minus, footprints, fp.skipped
+
+
+def _mixed_set(n, seed):
+    """Random kernels with shared depths, off-window kernels, a needle and a zero opacity."""
+    rng = np.random.default_rng(seed)
+    positions = rng.integers(-6, 7, size=(n, 3)) * 0.25  # few distinct depths on every axis
+    positions[: n // 8] += [6.0, 0.0, 0.0]  # partly or wholly outside the window
+    log_scales = rng.uniform(-2.2, -0.8, size=(n, 3))
+    rotations = quat_normalize(rng.normal(size=(n, 4)))
+    # needles along x and y: at least one projects to a singular footprint in any axis view
+    log_scales[n // 2], log_scales[n // 2 + 1] = [-1.0, -30.0, -30.0], [-30.0, -1.0, -30.0]
+    rotations[n // 2: n // 2 + 2] = [1.0, 0.0, 0.0, 0.0]
+    opacities = rng.uniform(0.05, 1.0, size=n)
+    opacities[n // 3] = 0.0
+    return GaussianSet(positions=positions, rotations=rotations,
+                       log_scales=log_scales, opacities=opacities, colors=rng.random((n, 4)),
+                       role=Role.APPEARANCE)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("axis,resolution", [("+z", (23, 17)), ("-x", (16, 16)),
+                                                 ("+y", (31, 9))])
+    def test_bitwise_equal(self, seed, axis, resolution):
+        g = _mixed_set(60, seed)
+        cam = OrthoCamera.axis_view(axis, np.zeros(3), 5.0, 4.0, resolution)
+        out = splat(g, cam, truncation_radius=2.5)
+        rgb, alpha, footprints, skipped = _splat_reference(g, cam, truncation_radius=2.5)
+        assert out.skipped == skipped >= 1
+        assert out.rgb.tobytes() == rgb.tobytes()
+        assert out.alpha.tobytes() == alpha.tobytes()
+        assert len(out.footprints) == len(footprints)
+        for (pix, contrib), (ref_pix, ref_contrib) in zip(out.footprints, footprints):
+            assert pix.dtype == ref_pix.dtype and pix.shape == ref_pix.shape
+            assert pix.tobytes() == ref_pix.tobytes()
+            assert contrib.tobytes() == ref_contrib.tobytes()
+
+    def test_everything_skipped_or_outside(self):
+        g = _mixed_set(16, 7)
+        cam = OrthoCamera.axis_view("+z", np.full(3, 100.0), 1.0, 1.0, (8, 8))
+        out = splat(g, cam)
+        assert np.all(out.alpha == 0.0) and np.all(out.rgb == 0.0)
+        assert all(len(pix) == 0 and len(c) == 0 for pix, c in out.footprints)
+        assert len(out.footprints) == 16
