@@ -26,7 +26,7 @@ from .core import (
     quat_to_matrix,
 )
 from .errors import InvalidArgumentError
-from .render import OrthoCamera, _footprints
+from .render import OrthoCamera, _footprints, world_covariances
 
 # keeps the leave-one-out coverage gradient finite for fully opaque kernels
 _OPACITY_CEILING = 1.0 - 1e-9
@@ -208,11 +208,9 @@ def e_mask(gset: GaussianSet, masks, cameras, truncation_radius: float = 3.0) ->
         raise InvalidArgumentError("need one mask per camera, at least one view")
     value = 0.0
     grad_p = np.zeros_like(gset.positions)
-    grad_q = np.zeros_like(gset.rotations)
+    grad_cov = np.zeros((len(gset), 3, 3))  # dL/d(3D covariance), summed over views
     rot = quat_to_matrix(gset.rotations)
-    ext_sq = np.exp(2.0 * gset.log_scales)
-    proj_jac = quat_normalize_jacobian(gset.rotations)
-    rot_jac = quat_rotation_jacobian(quat_normalize(gset.rotations))
+    cov3 = world_covariances(rot, gset.log_scales)
 
     for mask, camera in zip(masks, cameras):
         mask = np.ascontiguousarray(mask, dtype=np.float64)
@@ -221,37 +219,38 @@ def e_mask(gset: GaussianSet, masks, cameras, truncation_radius: float = 3.0) ->
             raise InvalidArgumentError(
                 f"mask shape {mask.shape} does not match camera resolution {(h_px, w_px)}"
             )
-        fp = _footprints(gset, camera, truncation_radius, opacity_ceiling=_OPACITY_CEILING)
-        one_minus = np.ones((h_px, w_px))
-        if fp.kept.size:
-            v = fp.valid
-            np.multiply.at(one_minus, (fp.pix_y[v], fp.pix_x[v]), 1.0 - fp.g[v])
-        alpha = 1.0 - one_minus
-        resid = alpha - mask
+        fp = _footprints(gset, cov3, camera, truncation_radius, opacity_ceiling=_OPACITY_CEILING)
+        pixel = fp.pix_y * w_px + fp.pix_x
+        one_minus = np.ones(h_px * w_px)
+        np.multiply.at(one_minus, pixel, 1.0 - fp.g)
+        resid = (1.0 - one_minus).reshape(h_px, w_px) - mask
         value += float(np.abs(resid).sum())
-        if fp.kept.size == 0:
+        if fp.g.size == 0:
             continue
 
-        sign = np.sign(resid)
-        # leave-one-out factor per (kernel, pixel): prod_{j != i} (1 - g_j);
-        # out-of-image entries are invalid and zeroed, clip only for the gather
-        ys = np.clip(fp.pix_y, 0, h_px - 1)
-        xs = np.clip(fp.pix_x, 0, w_px - 1)
-        pix_sign = sign[ys, xs]
-        pix_prod = one_minus[ys, xs]
-        coeff = np.where(fp.valid, pix_sign * pix_prod / (1.0 - fp.g) * fp.g, 0.0)
-
-        ad = np.einsum("kab,kpb->kpa", fp.inv_covs, fp.d)
+        # dL/dg per entry: sign(resid) times the leave-one-out factor prod_{j != i} (1 - g_j)
+        coeff = np.sign(resid).ravel()[pixel] * one_minus[pixel] / (1.0 - fp.g) * fp.g
+        row, k = fp.row, fp.kept.size
+        inv00, inv01, _, inv11 = fp.inv_covs.reshape(k, 4)[row].T
+        ad0 = inv00 * fp.d[:, 0] + inv01 * fp.d[:, 1]  # inv . d
+        ad1 = inv01 * fp.d[:, 0] + inv11 * fp.d[:, 1]
+        c0 = coeff * ad0
+        c1 = coeff * ad1
         m = fp.pixel_matrix
-        d_mu = np.einsum("kp,kpa->ka", coeff, ad)
-        np.add.at(grad_p, fp.kept, d_mu @ m)
+        grad_p[fp.kept] += np.stack([np.bincount(row, c0, k), np.bincount(row, c1, k)], axis=1) @ m
 
-        b_cov = 0.5 * np.einsum("kp,kpa,kpb->kab", coeff, ad, ad)
-        g3 = np.einsum("ba,kbc,cd->kad", m, b_cov, m)  # dL/d(3D covariance)
-        g3rd = np.einsum("kab,kbc->kac", g3, rot[fp.kept]) * ext_sq[fp.kept][:, None, :]
-        gq_hat = 2.0 * np.einsum("kqab,kab->kq", rot_jac[fp.kept], g3rd)
-        np.add.at(grad_q, fp.kept, np.einsum("kq,kqr->kr", gq_hat, proj_jac[fp.kept]))
+        # dL/d(2D covariance) = 0.5 sum coeff (inv d)(inv d)^T, pulled back through m
+        b_cov = 0.5 * np.stack([np.bincount(row, c0 * ad0, k), np.bincount(row, c0 * ad1, k),
+                                np.bincount(row, c1 * ad1, k)], axis=1)
+        cross = np.outer(m[0], m[1])
+        pullback = np.stack([np.outer(m[0], m[0]), cross + cross.T, np.outer(m[1], m[1])])
+        grad_cov[fp.kept] += (b_cov @ pullback.reshape(3, 9)).reshape(k, 3, 3)
 
+    # covariance R diag(exp(2s)) R^T: chain through R(q_hat(q))
+    g3rd = (grad_cov @ rot) * np.exp(2.0 * gset.log_scales)[:, None, :]
+    rot_jac = quat_rotation_jacobian(quat_normalize(gset.rotations))
+    gq_hat = 2.0 * np.einsum("kqab,kab->kq", rot_jac, g3rd)
+    grad_q = np.einsum("kq,kqr->kr", gq_hat, quat_normalize_jacobian(gset.rotations))
     return EnergyEval(value=value, grad_p=grad_p, grad_q=grad_q)
 
 

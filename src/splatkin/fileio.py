@@ -48,6 +48,17 @@ def _parse_int(token: str, where: str) -> int:
         raise FormatError(f"{where}: bad integer {token!r}") from None
 
 
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+
+def _parse_int64(token: str, where: str) -> int:
+    """An integer field stored as int64 (kernel-set and mapping files)."""
+    value = _parse_int(token, where)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise FormatError(f"{where}: integer {token!r} out of int64 range")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # kernel sets (text)
 
@@ -110,7 +121,8 @@ def _parse_records(records: list[str], start: int, base: int, labeled: bool, pat
     first = min(whole,
                 next((i for i, v in enumerate(index) if v != start + i), whole),
                 int(not_finite[0]) if not_finite.size else whole,
-                next((i for i, v in enumerate(labels) if v is None or v < 0), whole))
+                next((i for i, v in enumerate(labels)
+                      if v is None or not 0 <= v <= _INT64_MAX), whole))
     if first < len(tokens):
         _check_record(tokens[first], start + first, base, labeled, f"{path}:{6 + start + first}")
     return values, labels
@@ -125,7 +137,7 @@ def _check_record(tok: list[str], i: int, base: int, labeled: bool, where: str) 
         raise FormatError(f"{where}: record index {tok[0]} out of order (expected {i})")
     for t in tok[1:base + 1]:
         _parse_float(t, where)
-    if labeled and _parse_int(tok[-1], where) < 0:
+    if labeled and _parse_int64(tok[-1], where) < 0:
         raise FormatError(f"{where}: negative label id")
 
 
@@ -139,7 +151,7 @@ def read_gset(path, label_names: tuple[str, ...] | None = None) -> GaussianSet:
         role = Role(role_s)
     except ValueError:
         raise FormatError(f"{path}:2: unknown role {role_s!r}") from None
-    frame = _parse_int(_header_line(lines, 2, "frame", path), f"{path}:3")
+    frame = _parse_int64(_header_line(lines, 2, "frame", path), f"{path}:3")
     count = _parse_int(_header_line(lines, 3, "count", path), f"{path}:4")
     channels = _parse_int(_header_line(lines, 4, "color_channels", path), f"{path}:5")
     if frame < 0:
@@ -300,8 +312,8 @@ def read_mapping(path, resolution: tuple[int, int]) -> MortonMapping:
             raise FormatError(f"{where}: expected 'index u v'")
         if _parse_int(tok[0], where) != i:
             raise FormatError(f"{where}: index {tok[0]} out of order (expected {i})")
-        uv[i, 0] = _parse_int(tok[1], where)
-        uv[i, 1] = _parse_int(tok[2], where)
+        uv[i, 0] = _parse_int64(tok[1], where)
+        uv[i, 1] = _parse_int64(tok[2], where)
     try:
         return MortonMapping(resolution=resolution, uv=uv, valid_count=len(uv))
     except InvalidArgumentError as exc:

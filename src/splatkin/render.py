@@ -16,6 +16,9 @@ from .errors import InvalidArgumentError
 
 # 2D covariances with eigenvalue ratio beyond this are treated as singular
 COND_LIMIT = 1e12
+# squared-radius widening of the per-line footprint spans; it exceeds the relative
+# rounding error of qform (about 1e-16 * COND_LIMIT) by far
+_SPAN_SLACK = 1.02
 
 _AXIS_FORWARD = {
     "+x": np.array([1.0, 0.0, 0.0]),
@@ -77,6 +80,12 @@ class OrthoCamera:
         ])
 
 
+def world_covariances(rot: np.ndarray, log_scales: np.ndarray) -> np.ndarray:
+    """3D covariances R diag(exp(2s)) R^T from rotation matrices (N,3,3) and log-scales (N,3)."""
+    scaled = rot * np.exp(log_scales)[:, None, :]  # R diag(exp(s))
+    return scaled @ scaled.transpose(0, 2, 1)
+
+
 def project(gset: GaussianSet, camera: OrthoCamera):
     """Project kernels: returns (means_px (N,2), covs_px (N,2,2), depths (N,)).
 
@@ -84,13 +93,15 @@ def project(gset: GaussianSet, camera: OrthoCamera):
     R diag(exp(2s)) R^T, expressed in pixel units. Depth is the coordinate
     along the view axis (smaller = closer to the camera).
     """
+    cov3 = world_covariances(quat_to_matrix(gset.rotations), gset.log_scales)
+    return _project(gset.positions, cov3, camera)
+
+
+def _project(positions: np.ndarray, cov3: np.ndarray, camera: OrthoCamera):
     m = camera.pixel_matrix()
-    offsets = gset.positions - camera.center
+    offsets = positions - camera.center
     w_px, h_px = camera.resolution
     means = offsets @ m.T + np.array([w_px / 2.0, h_px / 2.0])
-    rot = quat_to_matrix(gset.rotations)
-    scaled = rot * np.exp(gset.log_scales)[:, None, :]  # R diag(exp(s))
-    cov3 = scaled @ scaled.transpose(0, 2, 1)
     mc = np.einsum("ab,nbc->nac", m, cov3)
     covs = np.einsum("nab,cb->nac", mc, m)
     depths = offsets @ camera.rotation[2]
@@ -99,26 +110,33 @@ def project(gset: GaussianSet, camera: OrthoCamera):
 
 @dataclass
 class _Footprints:
-    """Batched per-kernel pixel footprints (internal; shared with the mask energy)."""
+    """Per-kernel pixel footprints as flat entries (internal; shared with the mask energy).
+
+    Each kept kernel has its own (2*half+1)^2 window around its mean. The
+    entries are the window pixels inside the image and the truncation ellipse,
+    kernel-major in ``kept`` order and in window order (y outer, x inner)
+    within a kernel. Slots are the window pixels tested for that.
+    """
 
     kept: np.ndarray  # (K,) original kernel indices
     skipped: int
-    means: np.ndarray  # (K,2)
     inv_covs: np.ndarray  # (K,2,2)
     depths: np.ndarray  # (K,)
-    pix_x: np.ndarray  # (K,P) int
-    pix_y: np.ndarray  # (K,P) int
-    valid: np.ndarray  # (K,P) bool
-    g: np.ndarray  # (K,P) contribution, zero where invalid
-    d: np.ndarray  # (K,P,2) pixel center minus mean
+    valid: np.ndarray  # (S,) bool per slot: the slot is an entry
+    row: np.ndarray  # (E,) kernel row into ``kept`` of each entry
+    pix_x: np.ndarray  # (E,) int
+    pix_y: np.ndarray  # (E,) int
+    g: np.ndarray  # (E,) contribution
+    d: np.ndarray  # (E,2) pixel center minus mean
     pixel_matrix: np.ndarray  # (2,3)
 
 
-def _footprints(gset: GaussianSet, camera: OrthoCamera, truncation_radius: float,
-                opacity_ceiling: float = 1.0) -> _Footprints:
+def _footprints(gset: GaussianSet, cov3: np.ndarray, camera: OrthoCamera,
+                truncation_radius: float, opacity_ceiling: float = 1.0) -> _Footprints:
+    """Footprints of ``gset`` (3D covariances ``cov3``) seen by ``camera``."""
     if truncation_radius <= 0.0:
         raise InvalidArgumentError("truncation radius must be positive")
-    means, covs, depths = project(gset, camera)
+    means, covs, depths = _project(gset.positions, cov3, camera)
     a = covs[:, 0, 0]
     b = covs[:, 0, 1]
     c = covs[:, 1, 1]
@@ -132,57 +150,65 @@ def _footprints(gset: GaussianSet, camera: OrthoCamera, truncation_radius: float
     skipped = int(len(gset) - kept.size)
 
     w_px, h_px = camera.resolution
-    if kept.size == 0:
-        empty = np.zeros((0, 0))
-        return _Footprints(kept=kept, skipped=skipped, means=means[kept], inv_covs=np.zeros((0, 2, 2)),
-                           depths=depths[kept], pix_x=empty.astype(int), pix_y=empty.astype(int),
-                           valid=empty.astype(bool), g=empty, d=np.zeros((0, 0, 2)),
-                           pixel_matrix=camera.pixel_matrix())
-
     mu = means[kept]
-    dep = depths[kept]
     det_k = det[kept]
     inv = np.empty((kept.size, 2, 2))
     inv[:, 0, 0] = covs[kept, 1, 1] / det_k
     inv[:, 1, 1] = covs[kept, 0, 0] / det_k
     inv[:, 0, 1] = inv[:, 1, 0] = -covs[kept, 0, 1] / det_k
+    opac = np.minimum(gset.opacities[kept], opacity_ceiling)
 
+    # each kernel's own window: (2*half+1)^2 pixels around its mean's pixel
     radius_px = truncation_radius * np.sqrt(lam_max[kept])
     half = np.ceil(radius_px + 0.5).astype(np.int64)
     half = np.minimum(half, max(w_px, h_px))  # no point windowing beyond the image
-    hw = int(half.max()) if half.size else 0
-    side = 2 * hw + 1
-    offs = np.arange(-hw, hw + 1)
-    ox, oy = np.meshgrid(offs, offs, indexing="xy")
-    ox = ox.ravel()
-    oy = oy.ravel()
-
     base_x = np.round(mu[:, 0] - 0.5).astype(np.int64)
     base_y = np.round(mu[:, 1] - 0.5).astype(np.int64)
-    pix_x = base_x[:, None] + ox[None, :]
-    pix_y = base_y[:, None] + oy[None, :]
-    inside = (pix_x >= 0) & (pix_x < w_px) & (pix_y >= 0) & (pix_y < h_px)
 
-    d = np.empty((kept.size, side * side, 2))
-    d[:, :, 0] = pix_x + 0.5 - mu[:, 0:1]
-    d[:, :, 1] = pix_y + 0.5 - mu[:, 1:2]
-    qform = (
-        inv[:, None, 0, 0] * d[:, :, 0] ** 2
-        + 2.0 * inv[:, None, 0, 1] * d[:, :, 0] * d[:, :, 1]
-        + inv[:, None, 1, 1] * d[:, :, 1] ** 2
-    )
-    opac = np.minimum(gset.opacities[kept], opacity_ceiling)
-    valid = inside & (qform <= truncation_radius**2) & (opac[:, None] > 0.0)
-    # g = where(valid, opac * exp(-0.5 * qform), 0), built in qform's buffer
-    g = qform
-    invalid = ~valid
-    g[invalid] = 0.0
+    # Only window pixels inside the image and near the truncation ellipse become
+    # slots: the lines (pixel rows, y outer) it crosses, and on each line its x
+    # span. Both come from the ellipse widened by _SPAN_SLACK, so every pixel the
+    # qform test below can accept is a slot and the entries are those of the
+    # whole window. A kernel without opacity has no lines.
+    sxy = covs[kept, 0, 1]
+    syy = covs[kept, 1, 1]
+    reach_r2 = _SPAN_SLACK * truncation_radius**2
+    y_reach = np.sqrt(reach_r2 * syy)
+    y0 = np.maximum(np.maximum(np.floor(mu[:, 1] - 0.5 - y_reach), base_y - half), 0)
+    y1 = np.minimum(np.minimum(np.ceil(mu[:, 1] - 0.5 + y_reach), base_y + half), h_px - 1)
+    ny = np.where(opac > 0.0, np.maximum(y1 - y0 + 1, 0), 0).astype(np.int64)
+
+    line_row = np.repeat(np.arange(kept.size), ny)
+    line_y = np.arange(line_row.size) - np.repeat(np.cumsum(ny) - ny - y0.astype(np.int64), ny)
+    line_dy = line_y + 0.5 - np.repeat(mu[:, 1], ny)
+    line_inv = [np.repeat(inv[:, i, j], ny) for i, j in ((0, 0), (0, 1), (1, 1))]
+    reach_sq = (reach_r2 - line_dy**2 / np.repeat(syy, ny)) / line_inv[0]
+    reach = np.sqrt(np.maximum(reach_sq, 0.0))
+    line_mu_x = np.repeat(mu[:, 0], ny)
+    center = line_mu_x - 0.5 + np.repeat(sxy / syy, ny) * line_dy
+    lo = np.maximum(np.floor(center - reach), np.repeat(np.maximum(base_x - half, 0), ny))
+    hi = np.minimum(np.ceil(center + reach), np.repeat(np.minimum(base_x + half, w_px - 1), ny))
+    line_len = np.where(reach_sq >= 0.0, np.maximum(hi - lo + 1, 0), 0).astype(np.int64)
+
+    slot_row = np.repeat(line_row, line_len)
+    pix_y = np.repeat(line_y, line_len)
+    pix_x = (np.arange(slot_row.size)
+             - np.repeat(np.cumsum(line_len) - line_len - lo.astype(np.int64), line_len))
+    dx = pix_x + 0.5 - np.repeat(line_mu_x, line_len)
+    dy = np.repeat(line_dy, line_len)
+    inv00, inv01, inv11 = (np.repeat(v, line_len) for v in line_inv)
+    qform = inv00 * dx ** 2 + 2.0 * inv01 * dx * dy + inv11 * dy ** 2
+    valid = qform <= truncation_radius**2
+    entry = np.flatnonzero(valid)
+    row = slot_row[entry]
+    # g = opac * exp(-0.5 * qform)
+    g = qform[entry]
     g *= -0.5
     np.exp(g, out=g)
-    g *= opac[:, None]
-    g[invalid] = 0.0
-    return _Footprints(kept=kept, skipped=skipped, means=mu, inv_covs=inv, depths=dep,
-                       pix_x=pix_x, pix_y=pix_y, valid=valid, g=g, d=d,
+    g *= opac[row]
+    return _Footprints(kept=kept, skipped=skipped, inv_covs=inv, depths=depths[kept],
+                       valid=valid, row=row, pix_x=pix_x[entry], pix_y=pix_y[entry], g=g,
+                       d=np.stack([dx[entry], dy[entry]], axis=1),
                        pixel_matrix=camera.pixel_matrix())
 
 
@@ -211,21 +237,17 @@ def splat(gset: GaussianSet, camera: OrthoCamera, truncation_radius: float = 3.0
     if gset.color_channels < 3:
         raise InvalidArgumentError("splat needs at least 3 color channels")
     w_px, h_px = camera.resolution
-    fp = _footprints(gset, camera, truncation_radius)
-
-    # flat valid entries, kernel-major (kept order), pixels in footprint order;
-    # the padded (K,P) footprint arrays are freed before compositing
-    flat = np.flatnonzero(fp.valid)
-    row = flat // max(fp.valid.shape[1], 1)
-    pix = np.stack([fp.pix_x.ravel()[flat], fp.pix_y.ravel()[flat]], axis=1)
-    g = fp.g.ravel()[flat]
+    fp = _footprints(gset, world_covariances(quat_to_matrix(gset.rotations), gset.log_scales),
+                     camera, truncation_radius)
+    row, g = fp.row, fp.g
+    pix = np.stack([fp.pix_x, fp.pix_y], axis=1)
     counts = np.zeros(len(gset), dtype=np.int64)
     counts[fp.kept] = np.bincount(row, minlength=fp.kept.size)
     depth_rank = np.empty(fp.kept.size, dtype=np.int64)
     depth_rank[np.argsort(fp.depths, kind="stable")] = np.arange(fp.kept.size)
     kernel_color = gset.colors[fp.kept, :3]
     skipped = fp.skipped
-    del flat, fp
+    del fp
 
     pixel = pix[:, 1] * w_px + pix[:, 0]
     one_minus = np.ones(h_px * w_px)

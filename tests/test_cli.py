@@ -210,6 +210,17 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1  # exactly one diagnostic line
 
+    def test_label_beyond_int64_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.gset"
+        path.write_text("GSET 1\nrole appearance\nframe 0\ncount 1\ncolor_channels 3\n"
+                        "0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 -1.0 -1.0 -1.0 0.5 0.5 0.5 0.5 "
+                        "99999999999999999999\n")
+        rc = _run("render", "--input", path, "--out", tmp_path / "x.ppm")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "out of int64 range" in err
+
     def test_empty_target_dir_is_runtime_error(self, tmp_path, capsys):
         gset = tmp_path / "c.gset"
         _run("synth", "--kind", "twolink", "--out", tmp_path / "s", "--frames", 1,

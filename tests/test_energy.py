@@ -1,10 +1,24 @@
 """Energy terms: frozen hand-derived values plus analytic/numeric gradient spot checks."""
 
+import tracemalloc
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from splatkin.core import GaussianSet, PointCloud, Role, knn_build, quat_normalize
+from splatkin.core import (
+    GaussianSet,
+    PointCloud,
+    Role,
+    knn_build,
+    quat_normalize,
+    quat_normalize_jacobian,
+    quat_rotation_jacobian,
+    quat_to_matrix,
+)
 from splatkin.energy import (
+    _OPACITY_CEILING,
+    EnergyEval,
     e_arap,
     e_data_points,
     e_iso,
@@ -15,7 +29,7 @@ from splatkin.energy import (
 )
 from splatkin.errors import InvalidArgumentError
 from splatkin.gradcheck import run_gradcheck, THRESHOLDS
-from splatkin.render import OrthoCamera, splat
+from splatkin.render import COND_LIMIT, OrthoCamera, _footprints, project, splat, world_covariances
 
 
 def _single(position=(0.0, 0.0, 0.0), log_scales=(-3.0, -3.0, -3.0),
@@ -208,6 +222,236 @@ class TestMask:
         cam = OrthoCamera.axis_view("+z", np.zeros(3), 4.0, 4.0, (8, 8))
         with pytest.raises(InvalidArgumentError):
             e_mask(g, [np.zeros((9, 8))], [cam])
+
+
+@dataclass
+class _PaddedFootprints:
+    """Per-kernel footprints padded to the widest window (the reference layout)."""
+
+    kept: np.ndarray  # (K,) original kernel indices
+    skipped: int
+    means: np.ndarray  # (K,2)
+    inv_covs: np.ndarray  # (K,2,2)
+    depths: np.ndarray  # (K,)
+    pix_x: np.ndarray  # (K,P) int
+    pix_y: np.ndarray  # (K,P) int
+    valid: np.ndarray  # (K,P) bool
+    g: np.ndarray  # (K,P) contribution, zero where invalid
+    d: np.ndarray  # (K,P,2) pixel center minus mean
+    pixel_matrix: np.ndarray  # (2,3)
+
+
+def _padded_footprints(gset: GaussianSet, camera: OrthoCamera, truncation_radius: float,
+                       opacity_ceiling: float = 1.0) -> _PaddedFootprints:
+    if truncation_radius <= 0.0:
+        raise InvalidArgumentError("truncation radius must be positive")
+    means, covs, depths = project(gset, camera)
+    a = covs[:, 0, 0]
+    b = covs[:, 0, 1]
+    c = covs[:, 1, 1]
+    half_tr = 0.5 * (a + c)
+    det = a * c - b * b
+    disc = np.sqrt(np.maximum(half_tr * half_tr - det, 0.0))
+    lam_max = half_tr + disc
+    lam_min = half_tr - disc
+    ok = (lam_min > 0.0) & (lam_max <= COND_LIMIT * lam_min)
+    kept = np.nonzero(ok)[0]
+    skipped = int(len(gset) - kept.size)
+
+    w_px, h_px = camera.resolution
+    if kept.size == 0:
+        empty = np.zeros((0, 0))
+        return _PaddedFootprints(kept=kept, skipped=skipped, means=means[kept],
+                                 inv_covs=np.zeros((0, 2, 2)), depths=depths[kept],
+                                 pix_x=empty.astype(int), pix_y=empty.astype(int),
+                                 valid=empty.astype(bool), g=empty, d=np.zeros((0, 0, 2)),
+                                 pixel_matrix=camera.pixel_matrix())
+
+    mu = means[kept]
+    dep = depths[kept]
+    det_k = det[kept]
+    inv = np.empty((kept.size, 2, 2))
+    inv[:, 0, 0] = covs[kept, 1, 1] / det_k
+    inv[:, 1, 1] = covs[kept, 0, 0] / det_k
+    inv[:, 0, 1] = inv[:, 1, 0] = -covs[kept, 0, 1] / det_k
+
+    radius_px = truncation_radius * np.sqrt(lam_max[kept])
+    half = np.ceil(radius_px + 0.5).astype(np.int64)
+    half = np.minimum(half, max(w_px, h_px))  # no point windowing beyond the image
+    hw = int(half.max()) if half.size else 0
+    side = 2 * hw + 1
+    offs = np.arange(-hw, hw + 1)
+    ox, oy = np.meshgrid(offs, offs, indexing="xy")
+    ox = ox.ravel()
+    oy = oy.ravel()
+
+    base_x = np.round(mu[:, 0] - 0.5).astype(np.int64)
+    base_y = np.round(mu[:, 1] - 0.5).astype(np.int64)
+    pix_x = base_x[:, None] + ox[None, :]
+    pix_y = base_y[:, None] + oy[None, :]
+    inside = (pix_x >= 0) & (pix_x < w_px) & (pix_y >= 0) & (pix_y < h_px)
+
+    d = np.empty((kept.size, side * side, 2))
+    d[:, :, 0] = pix_x + 0.5 - mu[:, 0:1]
+    d[:, :, 1] = pix_y + 0.5 - mu[:, 1:2]
+    qform = (
+        inv[:, None, 0, 0] * d[:, :, 0] ** 2
+        + 2.0 * inv[:, None, 0, 1] * d[:, :, 0] * d[:, :, 1]
+        + inv[:, None, 1, 1] * d[:, :, 1] ** 2
+    )
+    opac = np.minimum(gset.opacities[kept], opacity_ceiling)
+    valid = inside & (qform <= truncation_radius**2) & (opac[:, None] > 0.0)
+    # g = where(valid, opac * exp(-0.5 * qform), 0), built in qform's buffer
+    g = qform
+    invalid = ~valid
+    g[invalid] = 0.0
+    g *= -0.5
+    np.exp(g, out=g)
+    g *= opac[:, None]
+    g[invalid] = 0.0
+    return _PaddedFootprints(kept=kept, skipped=skipped, means=mu, inv_covs=inv, depths=dep,
+                             pix_x=pix_x, pix_y=pix_y, valid=valid, g=g, d=d,
+                             pixel_matrix=camera.pixel_matrix())
+
+
+# e_mask over padded footprints, kept as the reference for the flat-entry e_mask
+def _e_mask_reference(gset: GaussianSet, masks, cameras,
+                      truncation_radius: float = 3.0) -> EnergyEval:
+    """L1 silhouette loss against target coverage images.
+
+    sum over views and pixels of |alpha_hat(u) - mask(u)| with alpha_hat the
+    product-form coverage of the soft splat. The per-pixel subgradient is
+    sign(alpha_hat - mask); gradients cover positions and raw rotations,
+    including the path through each kernel's 2D footprint covariance.
+    """
+    if len(masks) != len(cameras) or len(cameras) == 0:
+        raise InvalidArgumentError("need one mask per camera, at least one view")
+    value = 0.0
+    grad_p = np.zeros_like(gset.positions)
+    grad_q = np.zeros_like(gset.rotations)
+    rot = quat_to_matrix(gset.rotations)
+    ext_sq = np.exp(2.0 * gset.log_scales)
+    proj_jac = quat_normalize_jacobian(gset.rotations)
+    rot_jac = quat_rotation_jacobian(quat_normalize(gset.rotations))
+
+    for mask, camera in zip(masks, cameras):
+        mask = np.ascontiguousarray(mask, dtype=np.float64)
+        w_px, h_px = camera.resolution
+        if mask.shape != (h_px, w_px):
+            raise InvalidArgumentError(
+                f"mask shape {mask.shape} does not match camera resolution {(h_px, w_px)}"
+            )
+        fp = _padded_footprints(gset, camera, truncation_radius,
+                                opacity_ceiling=_OPACITY_CEILING)
+        one_minus = np.ones((h_px, w_px))
+        if fp.kept.size:
+            v = fp.valid
+            np.multiply.at(one_minus, (fp.pix_y[v], fp.pix_x[v]), 1.0 - fp.g[v])
+        alpha = 1.0 - one_minus
+        resid = alpha - mask
+        value += float(np.abs(resid).sum())
+        if fp.kept.size == 0:
+            continue
+
+        sign = np.sign(resid)
+        # leave-one-out factor per (kernel, pixel): prod_{j != i} (1 - g_j);
+        # out-of-image entries are invalid and zeroed, clip only for the gather
+        ys = np.clip(fp.pix_y, 0, h_px - 1)
+        xs = np.clip(fp.pix_x, 0, w_px - 1)
+        pix_sign = sign[ys, xs]
+        pix_prod = one_minus[ys, xs]
+        coeff = np.where(fp.valid, pix_sign * pix_prod / (1.0 - fp.g) * fp.g, 0.0)
+
+        ad = np.einsum("kab,kpb->kpa", fp.inv_covs, fp.d)
+        m = fp.pixel_matrix
+        d_mu = np.einsum("kp,kpa->ka", coeff, ad)
+        np.add.at(grad_p, fp.kept, d_mu @ m)
+
+        b_cov = 0.5 * np.einsum("kp,kpa,kpb->kab", coeff, ad, ad)
+        g3 = np.einsum("ba,kbc,cd->kad", m, b_cov, m)  # dL/d(3D covariance)
+        g3rd = np.einsum("kab,kbc->kac", g3, rot[fp.kept]) * ext_sq[fp.kept][:, None, :]
+        gq_hat = 2.0 * np.einsum("kqab,kab->kq", rot_jac[fp.kept], g3rd)
+        np.add.at(grad_q, fp.kept, np.einsum("kq,kqr->kr", gq_hat, proj_jac[fp.kept]))
+
+    return EnergyEval(value=value, grad_p=grad_p, grad_q=grad_q)
+
+
+def _mask_scene(n, seed):
+    """Anisotropic rotated kernels, some off the window, a needle and a zero opacity."""
+    rng = np.random.default_rng(seed)
+    positions = rng.normal(size=(n, 3)) * 0.7
+    positions[: n // 8] += [2.2, 0.0, 0.0]  # partly or wholly outside every window
+    log_scales = rng.uniform(-2.6, -1.2, size=(n, 3))
+    rotations = quat_normalize(rng.normal(size=(n, 4)))
+    # needles along x and y: at least one projects to a singular footprint in any axis view
+    log_scales[n // 2], log_scales[n // 2 + 1] = [-1.0, -30.0, -30.0], [-30.0, -1.0, -30.0]
+    rotations[n // 2: n // 2 + 2] = [1.0, 0.0, 0.0, 0.0]
+    opacities = rng.uniform(0.05, 1.0, size=n)
+    opacities[n // 3] = 0.0
+    return GaussianSet(positions=positions, rotations=rotations, log_scales=log_scales,
+                       opacities=opacities, colors=rng.random((n, 3)), role=Role.APPEARANCE)
+
+
+class TestMaskMatchesReference:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("views", [1, 2, 3])
+    @pytest.mark.parametrize("truncation_radius", [3.0, 8.0])
+    def test_value_bitwise_gradients_to_rounding(self, seed, views, truncation_radius):
+        g = _mask_scene(40, seed)
+        rng = np.random.default_rng(100 + seed)
+        cameras = [OrthoCamera.axis_view(axis, np.zeros(3), 4.0, 3.0, resolution)
+                   for axis, resolution in [("+z", (23, 17)), ("-x", (16, 16)),
+                                            ("+y", (31, 9))][:views]]
+        masks = [(rng.random((h, w)) < 0.4).astype(np.float64) * rng.uniform(0.5, 1.0)
+                 for w, h in (cam.resolution for cam in cameras)]
+        out = e_mask(g, masks, cameras, truncation_radius)
+        ref = _e_mask_reference(g, masks, cameras, truncation_radius)
+        assert out.value == ref.value
+        for got, want in ((out.grad_p, ref.grad_p), (out.grad_q, ref.grad_q)):
+            scale = np.abs(want).max()
+            assert scale > 0.0
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+class TestFootprintMemory:
+    """One wide kernel among 1500 small ones must not size every kernel's footprint."""
+
+    def _scene(self):
+        rng = np.random.default_rng(21)
+        n = 1500
+        log_scales = np.full((n, 3), -4.5)
+        log_scales[0] = -0.5  # a 129 x 129 window; the rest are 5 x 5
+        g = GaussianSet(positions=rng.uniform(-0.8, 0.8, size=(n, 3)),
+                        rotations=quat_normalize(rng.normal(size=(n, 4))),
+                        log_scales=log_scales, opacities=rng.uniform(0.2, 0.9, size=n),
+                        colors=rng.random((n, 3)), role=Role.APPEARANCE)
+        cam = OrthoCamera.axis_view("+z", np.zeros(3), 1.8, 1.8, (64, 64))
+        return g, cam
+
+    def test_slots_bounded_by_own_windows(self):
+        g, cam = self._scene()
+        _, covs, _ = project(g, cam)
+        half_tr = 0.5 * (covs[:, 0, 0] + covs[:, 1, 1])
+        det = covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] ** 2
+        lam_max = half_tr + np.sqrt(np.maximum(half_tr * half_tr - det, 0.0))
+        half = np.minimum(np.ceil(3.0 * np.sqrt(lam_max) + 0.5).astype(np.int64), 64)
+        assert half.max() == 64 and np.median(half) == 2
+        fp = _footprints(g, world_covariances(quat_to_matrix(g.rotations), g.log_scales), cam, 3.0)
+        assert fp.kept.size == 1500
+        assert fp.valid.size <= int(np.sum((2 * half + 1) ** 2))
+
+    def test_peak_memory(self):
+        g, cam = self._scene()
+        mask = splat(g, cam).alpha
+        for run in (lambda: splat(g, cam), lambda: e_mask(g, [mask, mask], [cam, cam])):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the padded (K,P) table needed about 400 MB for its offsets alone
+            assert peak < 64 * 2**20
 
 
 class TestGradients:

@@ -235,6 +235,25 @@ class TestKernelSetFiles:
         with pytest.raises(FormatError, match=r"chunked\.gset:15: bad float 'bogus'"):
             read_gset(path)
 
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999"])
+    def test_label_beyond_int64(self, tmp_path, label):
+        gset = _random_set(np.random.default_rng(17), n=3, labels=True)
+        path = tmp_path / "p.gset"
+        write_gset(path, gset)
+        lines = path.read_text().splitlines()
+        lines[7] = " ".join([*lines[7].split()[:-1], label])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"p\.gset:8: integer .* out of int64 range"):
+            read_gset(path, label_names=("left", "right"))
+
+    def test_frame_beyond_int64(self, tmp_path):
+        gset = _random_set(np.random.default_rng(18), n=2)
+        path = tmp_path / "q.gset"
+        write_gset(path, gset)
+        path.write_text(path.read_text().replace("frame 4", "frame 9223372036854775808"))
+        with pytest.raises(FormatError, match=r"q\.gset:3: integer .* out of int64 range"):
+            read_gset(path)
+
     def test_refuses_to_write_non_finite(self, tmp_path):
         gset = _random_set(np.random.default_rng(13), n=2)
         bad = gset.positions.copy()
@@ -368,6 +387,11 @@ class TestMappingFiles:
     def test_coordinates_validated_against_resolution(self, tmp_path):
         (tmp_path / "m.txt").write_text("0 5 0\n")
         with pytest.raises(FormatError, match="outside"):
+            read_mapping(tmp_path / "m.txt", resolution=(4, 4))
+
+    def test_coordinate_beyond_int64(self, tmp_path):
+        (tmp_path / "m.txt").write_text("0 0 0\n1 1 99999999999999999999\n")
+        with pytest.raises(FormatError, match=r"m\.txt:2: integer .* out of int64 range"):
             read_mapping(tmp_path / "m.txt", resolution=(4, 4))
 
     def test_duplicate_pixel_rejected(self, tmp_path):
