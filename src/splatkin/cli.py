@@ -8,6 +8,7 @@ binary formats from ``fileio`` and delegates the actual work. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -30,7 +31,7 @@ from .fileio import (
     write_trace,
 )
 from .gradcheck import THRESHOLDS, run_gradcheck
-from .morton import build_mapping, pack_map, random_mapping, locality_score, y_sort_mapping
+from .morton import build_mapping, random_mapping, locality_score, y_sort_mapping
 from .pipeline import (
     TrackConfig,
     TransferConfig,
@@ -43,32 +44,10 @@ from .render import OrthoCamera, splat
 from .synth import animate, make_scene
 from .warp import disassemble, relative_motion, warp_appearance
 
-_TRACK_KEYS = {
-    "l": "length_scale",
-    "lambda_iso": "lambda_iso",
-    "lambda_size": "lambda_size",
-    "k_neighbors": "k_neighbors",
-    "iterations_init": "iterations_init",
-    "iterations_track": "iterations_track",
-    "lr_position": "lr_position",
-    "lr_rotation": "lr_rotation",
-    "lr_scale": "lr_scale",
-    "lr_color": "lr_color",
-    "seed": "seed",
-}
-_TRANSFER_KEYS = {
-    "l": "length_scale",
-    "lambda_sem": "lambda_sem",
-    "lambda_1": "lambda_arap_align",
-    "lambda_2": "lambda_arap_transfer",
-    "k_neighbors": "k_neighbors",
-    "clusters_per_label": "clusters_per_label",
-    "iterations_align": "iterations_align",
-    "iterations_transfer": "iterations_transfer",
-    "lr_position": "lr_position",
-    "lr_rotation": "lr_rotation",
-    "seed": "seed",
-}
+# config keys that set a stage-config field of another name; every other key
+# sets the field of its own name in the stage configs that have one
+_FIELD_NAMES = {"l": "length_scale", "lambda_1": "lambda_arap_align",
+                "lambda_2": "lambda_arap_transfer"}
 
 
 def _load_config(args) -> dict:
@@ -78,12 +57,27 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _track_config(cfg: dict) -> TrackConfig:
-    return TrackConfig(**{_TRACK_KEYS[k]: v for k, v in cfg.items() if k in _TRACK_KEYS})
+def _stage_config(cls, cfg: dict):
+    """``cls`` (``TrackConfig`` or ``TransferConfig``) set from the keys it has."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    fields = ((_FIELD_NAMES.get(key, key), value) for key, value in cfg.items())
+    return cls(**{name: value for name, value in fields if name in names})
 
 
-def _transfer_config(cfg: dict) -> TransferConfig:
-    return TransferConfig(**{_TRANSFER_KEYS[k]: v for k, v in cfg.items() if k in _TRANSFER_KEYS})
+def _map_layout(cfg: dict) -> tuple[tuple[int, int], int]:
+    """Map resolution (W, H) and Morton quantisation bits, by default 512x512 and 10."""
+    return ((int(cfg.get("map_width", 512)), int(cfg.get("map_height", 512))),
+            int(cfg.get("quant_bits", 10)))
+
+
+def _skinned(args, cfg: TrackConfig) -> GaussianSet:
+    """The ``--appearance`` set warped by the motion from ``--canonical`` to ``--deformed``."""
+    appearance = read_gset(args.appearance)
+    canonical = read_gset(args.canonical)
+    deformed = read_gset(args.deformed)
+    graph = knn_build(appearance.positions, canonical.positions,
+                      cfg.k_neighbors, cfg.length_scale, normalize=True)
+    return warp_appearance(appearance, relative_motion(canonical, deformed), graph)
 
 
 def _as_cloud(gset: GaussianSet) -> PointCloud:
@@ -129,12 +123,11 @@ def cmd_synth(args) -> int:
     cfg = _load_config(args)
     seed = int(cfg.get("seed", 0))
     scene = make_scene(args.kind, args.n_motion, args.n_appearance, seed)
+    motion = scene.motion_set(anisotropy=args.anisotropy)
+    appearance = scene.appearance_set(anisotropy=args.anisotropy)
     out = args.out
     os.makedirs(os.path.join(out, "frames"), exist_ok=True)
     os.makedirs(os.path.join(out, "truth"), exist_ok=True)
-
-    motion = scene.motion_set(anisotropy=args.anisotropy)
-    appearance = scene.appearance_set(anisotropy=args.anisotropy)
     write_gset(os.path.join(out, "motion_canonical.gset"), motion)
     write_gset(os.path.join(out, "appearance_canonical.gset"), appearance)
     write_labels(os.path.join(out, "motion_labels.csv"), scene.label_strings("motion"))
@@ -159,7 +152,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_init(args) -> int:
-    cfg = _track_config(_load_config(args))
+    cfg = _stage_config(TrackConfig, _load_config(args))
     initial = read_gset(args.input)
     target = _as_cloud(read_gset(args.target))
     fitted, trace = init_canonical(initial, target, cfg)
@@ -169,7 +162,7 @@ def cmd_init(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg = _track_config(_load_config(args))
+    cfg = _stage_config(TrackConfig, _load_config(args))
     canonical = read_gset(args.canonical)
     paths = _sorted_inputs(args.targets, args.pattern)
     clouds = [_as_cloud(read_gset(p)) for p in paths]
@@ -182,37 +175,23 @@ def cmd_track(args) -> int:
 
 
 def cmd_warp(args) -> int:
-    cfg = _track_config(_load_config(args))
-    appearance = read_gset(args.appearance)
-    canonical = read_gset(args.canonical)
-    deformed = read_gset(args.deformed)
-    graph = knn_build(appearance.positions, canonical.positions,
-                      cfg.k_neighbors, cfg.length_scale, normalize=True)
-    motion = relative_motion(canonical, deformed)
-    write_gset(args.out, warp_appearance(appearance, motion, graph))
+    cfg = _stage_config(TrackConfig, _load_config(args))
+    write_gset(args.out, _skinned(args, cfg))
     return 0
 
 
 def cmd_map(args) -> int:
-    cfg = _load_config(args)
+    resolution, bits = _map_layout(_load_config(args))
     gset = read_gset(args.input)
-    resolution = (int(cfg.get("map_width", 512)), int(cfg.get("map_height", 512)))
-    mapping = build_mapping(gset.positions, resolution, int(cfg.get("quant_bits", 10)))
-    write_mapping(args.out, mapping)
+    write_mapping(args.out, build_mapping(gset.positions, resolution, bits))
     return 0
 
 
 def cmd_regress(args) -> int:
-    cfg_dict = _load_config(args)
-    cfg = _track_config(cfg_dict)
-    resolution = (int(cfg_dict.get("map_width", 512)), int(cfg_dict.get("map_height", 512)))
+    cfg = _load_config(args)
+    resolution, _ = _map_layout(cfg)
     mapping = read_mapping(args.mapping, resolution)
-    appearance = read_gset(args.appearance)
-    canonical = read_gset(args.canonical)
-    deformed = read_gset(args.deformed)
-    graph = knn_build(appearance.positions, canonical.positions,
-                      cfg.k_neighbors, cfg.length_scale, normalize=True)
-    warped = warp_appearance(appearance, relative_motion(canonical, deformed), graph)
+    warped = _skinned(args, _stage_config(TrackConfig, cfg))
     os.makedirs(args.out_dir, exist_ok=True)
     for name, amap in disassemble(warped, mapping).items():
         write_gmap(os.path.join(args.out_dir, f"{name}.gmap"), amap)
@@ -220,7 +199,7 @@ def cmd_regress(args) -> int:
 
 
 def cmd_align(args) -> int:
-    cfg = _transfer_config(_load_config(args))
+    cfg = _stage_config(TransferConfig, _load_config(args))
     source = attach_labels(read_gset(args.source), read_labels(args.source_labels))
     driver = attach_labels(read_gset(args.driver), read_labels(args.driver_labels))
     both = np.concatenate([source.positions, driver.positions])
@@ -233,7 +212,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    cfg = _transfer_config(_load_config(args))
+    cfg = _stage_config(TransferConfig, _load_config(args))
     aligned = read_gset(args.aligned)
     source_canonical = read_gset(args.source_canonical)
     driver_canonical = read_gset(args.driver_canonical)
@@ -263,8 +242,7 @@ def cmd_render(args) -> int:
 def cmd_locality(args) -> int:
     cfg = _load_config(args)
     gset = read_gset(args.input)
-    resolution = (int(cfg.get("map_width", 512)), int(cfg.get("map_height", 512)))
-    bits = int(cfg.get("quant_bits", 10))
+    resolution, bits = _map_layout(cfg)
     seed = int(cfg.get("seed", 0))
     layouts = {
         "morton": build_mapping(gset.positions, resolution, bits),

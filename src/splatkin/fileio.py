@@ -301,12 +301,15 @@ def write_mapping(path, mapping: MortonMapping) -> None:
 def read_mapping(path, resolution: tuple[int, int]) -> MortonMapping:
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
-    rows = [ln for ln in lines if ln.strip()]
-    if not rows:
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
         raise FormatError(f"{path}: empty mapping")
-    uv = np.empty((len(rows), 2), dtype=np.int64)
-    for i, line in enumerate(rows):
+    uv = np.empty((len(lines), 2), dtype=np.int64)
+    for i, line in enumerate(lines):
         where = f"{path}:{i + 1}"
+        if not line.strip():
+            raise FormatError(f"{where}: blank line inside the record block")
         tok = line.split()
         if len(tok) != 3:
             raise FormatError(f"{where}: expected 'index u v'")

@@ -10,7 +10,6 @@ untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,15 +42,18 @@ THRESHOLDS = {
 }
 
 
-@dataclass
 class GradCase:
-    """One seeded instance: a value function over named parameter blocks plus
-    the analytic evaluation at the base point."""
+    """One seeded instance: ``energy`` at the set ``base``, checked over the
+    ``moving`` fields. ``blocks`` holds copies of them, ``value_fn(blocks)``
+    is ``energy(base.replace(**blocks)).value`` and ``analytic`` is
+    ``energy(base)``; a case may set its own ``value_fn``."""
 
-    name: str
-    blocks: dict[str, np.ndarray]
-    value_fn: Callable[[dict[str, np.ndarray]], float]
-    analytic: EnergyEval
+    def __init__(self, name: str, base: GaussianSet, moving: tuple[str, ...],
+                 energy: Callable[[GaussianSet], EnergyEval]):
+        self.name = name
+        self.blocks = {field: getattr(base, field).copy() for field in moving}
+        self.value_fn = lambda blocks: energy(base.replace(**blocks)).value
+        self.analytic = energy(base)
 
 
 def central_difference(value_fn, blocks: dict[str, np.ndarray], step: float) -> dict[str, np.ndarray]:
@@ -102,15 +104,25 @@ def _random_rotations(rng, n):
     return quat_normalize(q)
 
 
-def _random_set(rng, n, channels=3, role=Role.MOTION) -> GaussianSet:
+def _random_set(rng, n, role=Role.MOTION) -> GaussianSet:
     return GaussianSet(
         positions=rng.uniform(-0.5, 0.5, size=(n, 3)),
         rotations=_random_rotations(rng, n),
         log_scales=rng.uniform(-2.5, -1.0, size=(n, 3)),
         opacities=rng.uniform(0.2, 0.9, size=n),
-        colors=rng.uniform(0.0, 1.0, size=(n, channels)),
+        colors=rng.uniform(0.0, 1.0, size=(n, 3)),
         role=role,
     )
+
+
+def _sample(rng, draw, what: str):
+    """The first of 64 instances ``draw(n)``, for n from 8 to 50 kernels, that
+    keeps clear of the term's kinks; ``draw`` returns ``(instance, clear)``."""
+    for _ in range(64):
+        instance, clear = draw(int(rng.integers(8, 51)))
+        if clear:
+            return instance
+    raise AssertionError(f"could not sample an {what}")
 
 
 def _arap_case(rng) -> GradCase:
@@ -121,60 +133,42 @@ def _arap_case(rng) -> GradCase:
         rotations=_random_rotations(rng, n),
     )
     graph = knn_build(prev.positions, prev.positions, k=min(4, n), length_scale=0.4, normalize=False)
-
-    def value(blocks):
-        trial = cur.replace(positions=blocks["positions"], rotations=blocks["rotations"])
-        return e_arap(prev, trial, graph).value
-
-    ev = e_arap(prev, cur, graph)
-    return GradCase("e_arap", {"positions": cur.positions.copy(), "rotations": cur.rotations.copy()},
-                    value, ev)
+    return GradCase("e_arap", cur, ("positions", "rotations"), lambda s: e_arap(prev, s, graph))
 
 
 def _iso_case(rng) -> GradCase:
     ratio = 4.0
-    for _ in range(64):
-        n = int(rng.integers(8, 51))
+
+    def draw(n):
         gset = _random_set(rng, n)
         s = gset.log_scales
         spread = np.exp(s.max(axis=1) - s.min(axis=1))
         gaps = np.sort(s, axis=1)
         # keep away from the ReLU kink and from max/min argument ties
-        if np.all(np.abs(spread - ratio) > 1e-2) and np.all(np.diff(gaps, axis=1) > 1e-3):
-            break
-    else:
-        raise AssertionError("could not sample an e_iso instance away from kinks")
+        return gset, np.all(np.abs(spread - ratio) > 1e-2) and np.all(np.diff(gaps, axis=1) > 1e-3)
 
-    def value(blocks):
-        return e_iso(gset.replace(log_scales=blocks["log_scales"]), ratio).value
-
-    return GradCase("e_iso", {"log_scales": gset.log_scales.copy()}, value,
-                    e_iso(gset, ratio))
+    gset = _sample(rng, draw, "e_iso instance away from kinks")
+    return GradCase("e_iso", gset, ("log_scales",), lambda s: e_iso(s, ratio))
 
 
 def _size_case(rng) -> GradCase:
     alpha = 2.0
-    for _ in range(64):
-        n = int(rng.integers(8, 51))
+
+    def draw(n):
         gset = _random_set(rng, n)
         extents = np.exp(gset.log_scales)
-        mean = extents.mean(axis=0)
-        if np.all(np.abs(extents - alpha * mean) > 1e-3):
-            break
-    else:
-        raise AssertionError("could not sample an e_size instance away from kinks")
+        return gset, np.all(np.abs(extents - alpha * extents.mean(axis=0)) > 1e-3)
+
+    gset = _sample(rng, draw, "e_size instance away from kinks")
+    case = GradCase("e_size", gset, ("log_scales",), lambda s: e_size(s, alpha))
+    # the default call stops the gradient at the batch mean, so differences hold it fixed
     frozen = np.exp(gset.log_scales).mean(axis=0)
-
-    def value(blocks):
-        return e_size(gset.replace(log_scales=blocks["log_scales"]), alpha, frozen_mean=frozen).value
-
-    return GradCase("e_size", {"log_scales": gset.log_scales.copy()}, value,
-                    e_size(gset, alpha))
+    case.value_fn = lambda blocks: e_size(gset.replace(**blocks), alpha, frozen_mean=frozen).value
+    return case
 
 
 def _data_case(rng) -> GradCase:
-    for _ in range(64):
-        n = int(rng.integers(8, 51))
+    def draw(n):
         m = int(rng.integers(30, 81))
         gset = _random_set(rng, n)
         cloud = PointCloud(points=rng.uniform(-0.5, 0.5, size=(m, 3)),
@@ -182,18 +176,12 @@ def _data_case(rng) -> GradCase:
         d_f, _ = cKDTree(cloud.points).query(gset.positions, k=2)
         d_b, _ = cKDTree(gset.positions).query(cloud.points, k=2)
         # nearest matches must not flip within the FD step
-        if np.all(d_f[:, 1] - d_f[:, 0] > 1e-3) and np.all(d_b[:, 1] - d_b[:, 0] > 1e-3):
-            break
-    else:
-        raise AssertionError("could not sample an e_data instance with stable matches")
+        stable = np.all(d_f[:, 1] - d_f[:, 0] > 1e-3) and np.all(d_b[:, 1] - d_b[:, 0] > 1e-3)
+        return (gset, cloud), stable
 
-    def value(blocks):
-        trial = gset.replace(positions=blocks["positions"], colors=blocks["colors"])
-        return e_data_points(trial, cloud).value
-
-    return GradCase("e_data_points",
-                    {"positions": gset.positions.copy(), "colors": gset.colors.copy()},
-                    value, e_data_points(gset, cloud))
+    gset, cloud = _sample(rng, draw, "e_data instance with stable matches")
+    return GradCase("e_data_points", gset, ("positions", "colors"),
+                    lambda s: e_data_points(s, cloud))
 
 
 def _sem_case(rng) -> GradCase:
@@ -204,12 +192,7 @@ def _sem_case(rng) -> GradCase:
     assignment[:j] = np.arange(j)  # every cluster non-empty
     clusters = [np.nonzero(assignment == c)[0] for c in range(j)]
     targets = rng.uniform(-0.5, 0.5, size=(j, 3))
-
-    def value(blocks):
-        return e_sem(gset.replace(positions=blocks["positions"]), targets, clusters).value
-
-    return GradCase("e_sem", {"positions": gset.positions.copy()}, value,
-                    e_sem(gset, targets, clusters))
+    return GradCase("e_sem", gset, ("positions",), lambda s: e_sem(s, targets, clusters))
 
 
 def _mask_case(rng) -> GradCase:
@@ -228,34 +211,19 @@ def _mask_case(rng) -> GradCase:
     for alpha in base_alpha:
         gap = rng.uniform(0.05, 0.45, size=alpha.shape)
         masks.append(np.where(alpha < 0.5, alpha + gap, alpha - gap))
-
-    def value(blocks):
-        trial = gset.replace(positions=blocks["positions"], rotations=blocks["rotations"])
-        return e_mask(trial, masks, cameras, truncation_radius=radius).value
-
-    ev = e_mask(gset, masks, cameras, truncation_radius=radius)
-    return GradCase("e_mask", {"positions": gset.positions.copy(),
-                               "rotations": gset.rotations.copy()}, value, ev)
+    return GradCase("e_mask", gset, ("positions", "rotations"),
+                    lambda s: e_mask(s, masks, cameras, truncation_radius=radius))
 
 
 def _l2_case(rng) -> GradCase:
-    for _ in range(64):
-        n = int(rng.integers(8, 51))
+    def draw(n):
         gset = _random_set(rng, n)
         target = _random_set(rng, n)
         dots = np.abs(np.sum(gset.rotations * target.rotations, axis=1))
-        if np.all(dots > 1e-2):  # stay off the hemisphere boundary
-            break
-    else:
-        raise AssertionError("could not sample an e_l2 instance off the hemisphere boundary")
+        return (gset, target), np.all(dots > 1e-2)  # stay off the hemisphere boundary
 
-    def value(blocks):
-        trial = gset.replace(positions=blocks["positions"], rotations=blocks["rotations"])
-        return e_l2_gauss(trial, target).value
-
-    return GradCase("e_l2_gauss",
-                    {"positions": gset.positions.copy(), "rotations": gset.rotations.copy()},
-                    value, e_l2_gauss(gset, target))
+    gset, target = _sample(rng, draw, "e_l2 instance off the hemisphere boundary")
+    return GradCase("e_l2_gauss", gset, ("positions", "rotations"), lambda s: e_l2_gauss(s, target))
 
 
 _CASE_BUILDERS = {
@@ -277,6 +245,8 @@ def run_gradcheck(seed: int = 1, instances: int = 20, step: float = DEFAULT_STEP
     if unknown:
         raise InvalidArgumentError(
             f"unknown term {unknown[0]!r}; known terms: {', '.join(_CASE_BUILDERS)}")
+    if instances < 1:
+        raise InvalidArgumentError(f"instances must be >= 1, got {instances}")
     report = {}
     for name in names:
         builder = _CASE_BUILDERS[name]

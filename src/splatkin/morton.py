@@ -131,16 +131,12 @@ def quantize(positions, bbox: Box, bits: int) -> tuple[np.ndarray, int]:
 class MortonMapping:
     """Frozen kernel-to-pixel assignment.
 
-    ``uv`` holds (u, v) = (column, row) per kernel. ``bbox``/``bits`` are None
-    for mappings loaded from a companion file; they are only needed at build
-    time, never for packing or unpacking.
+    ``uv`` holds (u, v) = (column, row) per kernel.
     """
 
     resolution: tuple[int, int]  # (W, H)
     uv: np.ndarray  # (N,2) int64
     valid_count: int
-    bits: int | None = None
-    bbox: Box | None = None
     clamp_count: int = 0
 
     def __post_init__(self):
@@ -191,15 +187,14 @@ class AttributeMap:
         return self.data.shape[2]
 
 
-def _mapping_from_order(order: np.ndarray, resolution: tuple[int, int], bits=None, bbox=None,
+def _mapping_from_order(order: np.ndarray, resolution: tuple[int, int],
                         clamp_count: int = 0) -> MortonMapping:
     w, h = resolution
     n = order.shape[0]
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(n)
     uv = np.stack([ranks % w, ranks // w], axis=1)
-    return MortonMapping(resolution=(w, h), uv=uv, valid_count=n, bits=bits, bbox=bbox,
-                         clamp_count=clamp_count)
+    return MortonMapping(resolution=(w, h), uv=uv, valid_count=n, clamp_count=clamp_count)
 
 
 def build_mapping(positions, resolution: tuple[int, int] = (512, 512), bits: int = 10) -> MortonMapping:
@@ -225,11 +220,10 @@ def build_mapping(positions, resolution: tuple[int, int] = (512, 512), bits: int
         )
     lo = positions.min(axis=0) - 1e-6
     hi = positions.max(axis=0) + 1e-6
-    bbox = Box(lo=lo, hi=hi)
-    cells, clamp_count = quantize(positions, bbox, bits)
+    cells, clamp_count = quantize(positions, Box(lo=lo, hi=hi), bits)
     codes = morton_encode(cells[:, 0], cells[:, 1], cells[:, 2])
     order = np.lexsort((np.arange(n), codes))
-    return _mapping_from_order(order, (w, h), bits=bits, bbox=bbox, clamp_count=clamp_count)
+    return _mapping_from_order(order, (w, h), clamp_count=clamp_count)
 
 
 def y_sort_mapping(positions, resolution: tuple[int, int] = (512, 512)) -> MortonMapping:

@@ -51,8 +51,8 @@ class OrthoCamera:
         ortho_err = np.abs(self.rotation @ self.rotation.T - np.eye(3)).max()
         if ortho_err > 1e-6 or np.linalg.det(self.rotation) < 0.0:
             raise InvalidArgumentError("camera rotation must be a proper rotation matrix")
-        if not (self.width > 0.0 and self.height > 0.0):
-            raise InvalidArgumentError("window extents must be positive")
+        if not (0.0 < self.width < np.inf and 0.0 < self.height < np.inf):
+            raise InvalidArgumentError("window extents must be finite and positive")
         w, h = self.resolution
         if w < 1 or h < 1:
             raise InvalidArgumentError("resolution must be positive")
@@ -134,8 +134,8 @@ class _Footprints:
 def _footprints(gset: GaussianSet, cov3: np.ndarray, camera: OrthoCamera,
                 truncation_radius: float, opacity_ceiling: float = 1.0) -> _Footprints:
     """Footprints of ``gset`` (3D covariances ``cov3``) seen by ``camera``."""
-    if truncation_radius <= 0.0:
-        raise InvalidArgumentError("truncation radius must be positive")
+    if not 0.0 < truncation_radius < np.inf:
+        raise InvalidArgumentError("truncation radius must be finite and positive")
     means, covs, depths = _project(gset.positions, cov3, camera)
     a = covs[:, 0, 0]
     b = covs[:, 0, 1]

@@ -8,7 +8,7 @@ the tracking and transfer acceptance tests measure against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +59,6 @@ class SyntheticScene:
     surface: PointCloud
     surface_labels: np.ndarray
     label_names: tuple[str, ...]
-    bounds_lo: np.ndarray = field(repr=False, default=None)
-    bounds_hi: np.ndarray = field(repr=False, default=None)
 
     def label_strings(self, which: str = "motion") -> list[str]:
         labels = self.motion_labels if which == "motion" else self.surface_labels
@@ -112,6 +110,8 @@ class SyntheticScene:
 
     def _set_from_cloud(self, cloud: PointCloud, labels, role: Role, count_area: float,
                         anisotropy: float, opacity: float, stream: int) -> GaussianSet:
+        if not np.isfinite(anisotropy):
+            raise InvalidArgumentError(f"anisotropy must be finite, got {anisotropy}")
         n = len(cloud)
         spacing = np.sqrt(count_area / n)
         base = np.log(0.5 * spacing)
@@ -222,7 +222,7 @@ def make_cylinder_scene(n_motion: int, n_appearance: int, seed: int,
                           params={"radius": radius, "length": length, "area": area},
                           seed=seed, motion=motion, motion_labels=motion_labels,
                           surface=surface, surface_labels=surface_labels,
-                          label_names=label_names, bounds_lo=lo, bounds_hi=hi)
+                          label_names=label_names)
 
 
 def make_twolink_scene(n_motion: int, n_appearance: int, seed: int,
@@ -264,7 +264,7 @@ def make_twolink_scene(n_motion: int, n_appearance: int, seed: int,
                                   "tip_radius": tip_radius, "area": float(areas.sum())},
                           seed=seed, motion=motion, motion_labels=motion_labels,
                           surface=surface, surface_labels=surface_labels,
-                          label_names=label_names, bounds_lo=lo, bounds_hi=hi)
+                          label_names=label_names)
 
 
 def make_scene(kind: str, n_motion: int, n_appearance: int, seed: int, **params) -> SyntheticScene:

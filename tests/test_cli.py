@@ -202,6 +202,14 @@ class TestDeterminism:
         assert one != two
 
 
+@pytest.fixture(scope="module")
+def small_scene(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scene")
+    assert _run("synth", "--kind", "twolink", "--out", out, "--frames", 1,
+                "--amplitude", 0.1, "--n-motion", 20, "--n-appearance", 30) == 0
+    return out
+
+
 class TestExitCodes:
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = _run("render", "--input", tmp_path / "nope.gset", "--out", tmp_path / "x.ppm")
@@ -252,6 +260,32 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unknown key 'lr_opacity'" in err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("render", "--truncation", "nan"),
+        ("render", "--truncation", "inf"),
+        ("render", "--window", "inf"),
+        ("synth", "--anisotropy", "inf"),
+        ("synth", "--anisotropy", "nan"),
+        ("align", "--window-scale", "inf"),
+    ])
+    def test_non_finite_number_is_runtime_error(self, small_scene, tmp_path, capsys,
+                                                command, flag, value):
+        appearance = small_scene / "appearance_canonical.gset"
+        labels = small_scene / "appearance_labels.csv"
+        inputs = {
+            "render": ("--input", appearance, "--out", tmp_path / "x.ppm"),
+            "synth": ("--kind", "twolink", "--out", tmp_path / "s", "--frames", 1,
+                      "--amplitude", 0.1, "--n-motion", 20, "--n-appearance", 30),
+            "align": ("--source", appearance, "--source-labels", labels,
+                      "--driver", appearance, "--driver-labels", labels,
+                      "--out", tmp_path / "a.gset", "--trace", tmp_path / "t.csv"),
+        }[command]
+        capsys.readouterr()
+        rc = _run(command, *inputs, flag, value)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_required_argument_is_usage_error(self, capsys):
         assert _run("init") == 2
         capsys.readouterr()
@@ -290,3 +324,11 @@ class TestGradcheckCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "'e_nope'" in captured.err and "e_l2_gauss" in captured.err
+
+    def test_zero_instances_is_runtime_error(self, capsys):
+        rc = _run("gradcheck", "--instances", 0)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "instances must be >= 1" in captured.err

@@ -399,6 +399,17 @@ class TestMappingFiles:
         with pytest.raises(FormatError, match="injective"):
             read_mapping(tmp_path / "m.txt", resolution=(4, 4))
 
+    def test_trailing_blank_lines_tolerated(self, tmp_path):
+        (tmp_path / "m.txt").write_text("0 0 0\n1 1 0\n\n  \n")
+        assert len(read_mapping(tmp_path / "m.txt", resolution=(4, 4))) == 2
+
+    @pytest.mark.parametrize("text,line", [("0 0 0\n1 1 0\n\n2 x 0\n", 3),
+                                           ("\n0 0 0\n", 1)])
+    def test_blank_line_inside_rejected_at_its_line(self, tmp_path, text, line):
+        (tmp_path / "m.txt").write_text(text)
+        with pytest.raises(FormatError, match=rf"m\.txt:{line}: blank line inside the record block"):
+            read_mapping(tmp_path / "m.txt", resolution=(4, 4))
+
     def test_empty_rejected(self, tmp_path):
         (tmp_path / "m.txt").write_text("\n")
         with pytest.raises(FormatError, match="empty"):
