@@ -12,7 +12,6 @@ from .core import (
     quat_normalize,
     quat_rotate,
     quat_to_matrix,
-    weight_rbf,
 )
 from .energy import (
     EnergyEval,
@@ -44,7 +43,7 @@ from .morton import (
     quantize,
     unpack_map,
 )
-from .render import OrthoCamera, RenderOutput, project, splat
+from .render import OrthoCamera, RenderOutput, splat
 from .warp import (
     FrameMotion,
     apply_motion,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .core import GaussianSet, PointCloud, Role, knn_build
-from .errors import SplatkinError
+from .errors import InvalidArgumentError, SplatkinError
 from .fileio import (
     attach_labels,
     read_config,
@@ -120,11 +120,16 @@ def _auto_camera(positions: np.ndarray, axis: str, resolution: int,
 
 
 def cmd_synth(args) -> int:
+    if args.frames < 1:
+        raise InvalidArgumentError(f"--frames must be at least 1, got {args.frames}")
     cfg = _load_config(args)
     seed = int(cfg.get("seed", 0))
     scene = make_scene(args.kind, args.n_motion, args.n_appearance, seed)
     motion = scene.motion_set(anisotropy=args.anisotropy)
     appearance = scene.appearance_set(anisotropy=args.anisotropy)
+    values = [args.amplitude * (i + 1) / args.frames for i in range(args.frames)]
+    frames = animate(scene, values)
+    # every argument is checked by now, so a failure leaves no partial output
     out = args.out
     os.makedirs(os.path.join(out, "frames"), exist_ok=True)
     os.makedirs(os.path.join(out, "truth"), exist_ok=True)
@@ -132,9 +137,6 @@ def cmd_synth(args) -> int:
     write_gset(os.path.join(out, "appearance_canonical.gset"), appearance)
     write_labels(os.path.join(out, "motion_labels.csv"), scene.label_strings("motion"))
     write_labels(os.path.join(out, "appearance_labels.csv"), scene.label_strings("surface"))
-
-    values = [args.amplitude * (i + 1) / args.frames for i in range(args.frames)]
-    frames = animate(scene, values)
     with open(os.path.join(out, "schedule.csv"), "w") as fh:
         fh.write("frame,value\n")
         for fr in frames:

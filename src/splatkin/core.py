@@ -32,15 +32,16 @@ class Role(Enum):
     APPEARANCE = "appearance"
 
 
-def _float_array(values, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+def _frozen(values, name: str, dtype=np.float64, finite: bool = True) -> np.ndarray:
+    """``values`` as a read-only contiguous ``dtype`` view: the rule for every container field.
+
+    Nothing is copied when ``values`` already has that layout, and the caller's
+    buffer stays writeable. Float values must be finite unless ``finite`` is off.
+    The quaternion and kNN helpers check their array inputs with it too.
+    """
+    arr = np.ascontiguousarray(values, dtype=dtype)
+    if finite and arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
         raise InvalidArgumentError(f"{name} contains non-finite values")
-    return arr
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    # freeze a view so the caller's buffer stays writeable
     view = arr.view()
     view.flags.writeable = False
     return view
@@ -66,11 +67,11 @@ class GaussianSet:
     label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        self.positions = _float_array(self.positions, "positions")
-        self.rotations = _float_array(self.rotations, "rotations")
-        self.log_scales = _float_array(self.log_scales, "log_scales")
-        self.opacities = _float_array(self.opacities, "opacities")
-        self.colors = _float_array(self.colors, "colors")
+        self.positions = _frozen(self.positions, "positions")
+        self.rotations = _frozen(self.rotations, "rotations")
+        self.log_scales = _frozen(self.log_scales, "log_scales")
+        self.opacities = _frozen(self.opacities, "opacities")
+        self.colors = _frozen(self.colors, "colors")
         n = self.positions.shape[0]
         if self.positions.shape != (n, 3):
             raise InvalidArgumentError(f"positions must be (N,3), got {self.positions.shape}")
@@ -90,15 +91,9 @@ class GaussianSet:
         if not isinstance(self.role, Role):
             raise InvalidArgumentError(f"role must be a Role, got {self.role!r}")
         if self.labels is not None:
-            self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+            self.labels = _frozen(self.labels, "labels", np.int64)
             if self.labels.shape != (n,):
                 raise InvalidArgumentError(f"labels must be (N,), got {self.labels.shape}")
-            self.labels = _frozen(self.labels)
-        self.positions = _frozen(self.positions)
-        self.rotations = _frozen(self.rotations)
-        self.log_scales = _frozen(self.log_scales)
-        self.opacities = _frozen(self.opacities)
-        self.colors = _frozen(self.colors)
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -132,14 +127,12 @@ class PointCloud:
     colors: np.ndarray
 
     def __post_init__(self):
-        self.points = _float_array(self.points, "points")
-        self.colors = _float_array(self.colors, "colors")
+        self.points = _frozen(self.points, "points")
+        self.colors = _frozen(self.colors, "colors")
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise InvalidArgumentError(f"points must be (M,3), got {self.points.shape}")
         if self.colors.ndim != 2 or self.colors.shape[0] != self.points.shape[0]:
             raise InvalidArgumentError("colors must be (M,C) matching points")
-        _frozen(self.points)
-        _frozen(self.colors)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -149,20 +142,15 @@ class PointCloud:
 class NeighborGraph:
     """Fixed kNN topology with RBF edge weights, built once on canonical positions."""
 
-    k: int
     indices: np.ndarray  # (N,k) into the reference set
     weights: np.ndarray  # (N,k), raw RBF values or normalized to sum 1 per row
     normalized: bool
 
     def __post_init__(self):
-        self.indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        self.weights = _float_array(self.weights, "weights")
+        self.indices = _frozen(self.indices, "indices", np.int64)
+        self.weights = _frozen(self.weights, "weights")
         if self.indices.shape != self.weights.shape or self.indices.ndim != 2:
             raise InvalidArgumentError("indices and weights must share shape (N,k)")
-        if self.indices.shape[1] != self.k:
-            raise InvalidArgumentError(f"k={self.k} does not match indices shape {self.indices.shape}")
-        _frozen(self.indices)
-        _frozen(self.weights)
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -174,7 +162,7 @@ class NeighborGraph:
 
 def quat_normalize(q) -> np.ndarray:
     """Normalize to unit norm; raises on (near) zero input."""
-    q = _float_array(q, "quaternion")
+    q = _frozen(q, "quaternion")
     norm = np.linalg.norm(q, axis=-1, keepdims=True)
     if np.any(norm <= DEGENERATE_NORM):
         raise InvalidArgumentError("cannot normalize a zero-norm quaternion")
@@ -183,8 +171,8 @@ def quat_normalize(q) -> np.ndarray:
 
 def quat_multiply(q1, q2) -> np.ndarray:
     """Hamilton product, broadcasting over leading dimensions."""
-    q1 = _float_array(q1, "q1")
-    q2 = _float_array(q2, "q2")
+    q1 = _frozen(q1, "q1")
+    q2 = _frozen(q2, "q2")
     w1, x1, y1, z1 = np.moveaxis(q1, -1, 0)
     w2, x2, y2, z2 = np.moveaxis(q2, -1, 0)
     return np.stack(
@@ -200,7 +188,7 @@ def quat_multiply(q1, q2) -> np.ndarray:
 
 def quat_inverse(q) -> np.ndarray:
     """General inverse conj(q)/|q|^2; equals the conjugate for unit input."""
-    q = _float_array(q, "quaternion")
+    q = _frozen(q, "quaternion")
     norm_sq = np.sum(q * q, axis=-1, keepdims=True)
     if np.any(norm_sq <= DEGENERATE_NORM**2):
         raise InvalidArgumentError("cannot invert a zero-norm quaternion")
@@ -221,7 +209,7 @@ def quat_to_matrix(q) -> np.ndarray:
 def quat_rotate(q, v) -> np.ndarray:
     """Rotate 3-vectors by the normalized quaternion."""
     rot = quat_to_matrix(q)
-    v = _float_array(v, "vector")
+    v = _frozen(v, "vector")
     return np.einsum("...ij,...j->...i", rot, v)
 
 
@@ -231,7 +219,7 @@ def quat_rotation_jacobian(q_unit) -> np.ndarray:
     Component order matches (w, x, y, z); callers chain through the
     normalization projection themselves (see ``quat_normalize_jacobian``).
     """
-    q = _float_array(q_unit, "quaternion")
+    q = _frozen(q_unit, "quaternion")
     w, x, y, z = np.moveaxis(q, -1, 0)
     zero = np.zeros_like(w)
 
@@ -254,7 +242,7 @@ def quat_rotation_jacobian(q_unit) -> np.ndarray:
 
 def quat_normalize_jacobian(q_raw) -> np.ndarray:
     """d q-hat / d q for a raw quaternion: (I - q q^T)/|q|, shape (...,4,4)."""
-    q = _float_array(q_raw, "quaternion")
+    q = _frozen(q_raw, "quaternion")
     norm = np.linalg.norm(q, axis=-1, keepdims=True)
     if np.any(norm <= DEGENERATE_NORM):
         raise InvalidArgumentError("cannot normalize a zero-norm quaternion")
@@ -266,7 +254,7 @@ def quat_normalize_jacobian(q_raw) -> np.ndarray:
 
 def quat_right_multiply_matrix(r) -> np.ndarray:
     """Matrix M with q (x) r == M @ q (Hamilton product as a linear map in q)."""
-    r = _float_array(r, "quaternion")
+    r = _frozen(r, "quaternion")
     rw, rx, ry, rz = np.moveaxis(r, -1, 0)
     rows = [
         np.stack([rw, -rx, -ry, -rz], axis=-1),
@@ -284,8 +272,8 @@ def quat_blend(quats, weights) -> np.ndarray:
     sum to 1 within 1e-6. Raises DegenerateBlendError when the weighted sum
     collapses below norm 1e-9 (antipodal cancellation).
     """
-    quats = _float_array(quats, "quaternions")
-    weights = _float_array(weights, "weights")
+    quats = _frozen(quats, "quaternions")
+    weights = _frozen(weights, "weights")
     if quats.ndim != 2 or quats.shape[1] != 4 or quats.shape[0] == 0:
         raise InvalidArgumentError(f"quats must be (k,4) with k >= 1, got {quats.shape}")
     if weights.shape != (quats.shape[0],):
@@ -302,8 +290,8 @@ def quat_blend(quats, weights) -> np.ndarray:
 
 def quat_blend_many(quats, weights) -> np.ndarray:
     """Row-wise ``quat_blend`` over (N,k,4) stacks; errors name the failing row."""
-    quats = _float_array(quats, "quaternions")
-    weights = _float_array(weights, "weights")
+    quats = _frozen(quats, "quaternions")
+    weights = _frozen(weights, "weights")
     if quats.ndim != 3 or quats.shape[2] != 4 or weights.shape != quats.shape[:2]:
         raise InvalidArgumentError("expected quats (N,k,4) and weights (N,k)")
     sums = weights.sum(axis=1)
@@ -321,17 +309,7 @@ def quat_blend_many(quats, weights) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# RBF weights and kNN graphs
-
-
-def weight_rbf(p_i, p_j, length_scale: float) -> np.ndarray:
-    """exp(-|p_i - p_j|^2 / length_scale^2); result lies in (0, 1]."""
-    if not (np.isfinite(length_scale) and length_scale > 0.0):
-        raise InvalidArgumentError(f"length_scale must be positive, got {length_scale}")
-    p_i = _float_array(p_i, "p_i")
-    p_j = _float_array(p_j, "p_j")
-    d2 = np.sum((p_i - p_j) ** 2, axis=-1)
-    return np.exp(-d2 / length_scale**2)
+# kNN graphs
 
 
 def knn_build(
@@ -353,8 +331,8 @@ def knn_build(
     candidate list is widened until its farthest candidate is clearly farther
     than its k-th nearest, so ties and rounding never change the result.
     """
-    query = _float_array(query, "query")
-    reference = _float_array(reference, "reference")
+    query = _frozen(query, "query")
+    reference = _frozen(reference, "reference")
     if query.ndim != 2 or query.shape[1] != 3:
         raise InvalidArgumentError(f"query must be (N,3), got {query.shape}")
     if reference.ndim != 2 or reference.shape[1] != 3:
@@ -393,4 +371,4 @@ def knn_build(
         weights = shifted / shifted.sum(axis=1, keepdims=True)
     else:
         weights = np.exp(-d2_sel * inv_l2)
-    return NeighborGraph(k=k, indices=indices, weights=weights, normalized=normalize)
+    return NeighborGraph(indices=indices, weights=weights, normalized=normalize)

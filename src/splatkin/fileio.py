@@ -288,7 +288,7 @@ def read_gmap(path) -> AttributeMap:
     data = np.frombuffer(blob, dtype="<f4", offset=20).reshape(h, w, c)
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: payload contains non-finite values")
-    return AttributeMap(data=np.ascontiguousarray(data, dtype=np.float32))
+    return AttributeMap(data=data)
 
 
 def write_mapping(path, mapping: MortonMapping) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _frozen
 from .errors import CapacityError, InvalidArgumentError
 
 MAX_BITS = 21  # 3*21 = 63 interleaved bits fit a uint64
@@ -88,12 +89,10 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        self.lo = np.ascontiguousarray(self.lo, dtype=np.float64)
-        self.hi = np.ascontiguousarray(self.hi, dtype=np.float64)
+        self.lo = _frozen(self.lo, "Box lo")
+        self.hi = _frozen(self.hi, "Box hi")
         if self.lo.shape != (3,) or self.hi.shape != (3,):
             raise InvalidArgumentError("Box bounds must be 3-vectors")
-        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
-            raise InvalidArgumentError("Box bounds must be finite")
         if np.any(self.hi <= self.lo):
             raise InvalidArgumentError("Box must have positive extent on all axes")
 
@@ -141,7 +140,7 @@ class MortonMapping:
 
     def __post_init__(self):
         w, h = self.resolution
-        self.uv = np.ascontiguousarray(self.uv, dtype=np.int64)
+        self.uv = _frozen(self.uv, "uv", np.int64)
         if self.uv.ndim != 2 or self.uv.shape[1] != 2:
             raise InvalidArgumentError(f"uv must be (N,2), got {self.uv.shape}")
         if self.uv.shape[0] != self.valid_count:
@@ -154,7 +153,6 @@ class MortonMapping:
             flat = self.uv[:, 1] * w + self.uv[:, 0]
             if np.unique(flat).size != flat.size:
                 raise InvalidArgumentError("uv assignment is not injective")
-        self.uv.flags.writeable = False
 
     def __len__(self) -> int:
         return self.valid_count
@@ -174,7 +172,7 @@ class AttributeMap:
     data: np.ndarray  # (H,W,C) float32, row-major
 
     def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
+        self.data = _frozen(self.data, "map data", np.float32, finite=False)
         if self.data.ndim != 3:
             raise InvalidArgumentError(f"map data must be (H,W,C), got {self.data.shape}")
 

@@ -101,14 +101,13 @@ class Adam(object):
                 group["value"][:] = quat_normalize(group["value"])
 
 
-def kmeans(points: np.ndarray, k: int, seed,
-           max_iter: int = 100, tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations with distance-weighted seeding.
 
     Deterministic given (points, k, seed): ties in the assignment go to the
     lowest centroid index, an emptied cluster is re-seeded at the point
     farthest from its current centroid, and iteration stops after
-    ``max_iter`` rounds or when no centroid moves more than ``tol``.
+    100 rounds or when no centroid moves more than 1e-7.
     Returns (centroids (k,3), assignment (n,)).
     """
     points = np.asarray(points, dtype=np.float64)
@@ -131,7 +130,7 @@ def kmeans(points: np.ndarray, k: int, seed,
         d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
 
     assignment = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(100):
         dist2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         assignment = np.argmin(dist2, axis=1)  # ties -> lowest index
         moved = 0.0
@@ -144,7 +143,7 @@ def kmeans(points: np.ndarray, k: int, seed,
                 new_c = members.mean(axis=0)
             moved = max(moved, float(np.abs(new_c - centroids[j]).max()))
             centroids[j] = new_c
-        if moved < tol:
+        if moved < 1e-7:
             break
     dist2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     assignment = np.argmin(dist2, axis=1)
@@ -164,8 +163,6 @@ class TrackConfig:
     length_scale: float = 0.001
     lambda_iso: float = 0.004
     lambda_size: float = 1.0
-    iso_ratio_limit: float = 4.0
-    size_alpha: float = 2.0
     k_neighbors: int = 4
     lr_position: float = 1e-3
     lr_rotation: float = 1e-3
@@ -187,7 +184,6 @@ class TransferConfig:
     lambda_arap_transfer: float = 0.2
     k_neighbors: int = 4
     clusters_per_label: int = 8
-    truncation_radius: float = 3.0
     lr_position: float = 1e-3
     lr_rotation: float = 1e-3
     lr_end_factor: float = 0.1
@@ -278,8 +274,8 @@ def init_canonical(initial: GaussianSet, target: PointCloud,
         {"positions": cfg.lr_position, "log_scales": cfg.lr_scale, "colors": cfg.lr_color},
         cfg.lr_end_factor, cfg.iterations_init,
         [("e_data", 1.0, lambda cur: e_data_points(cur, target)),
-         ("e_iso", cfg.lambda_iso, lambda cur: e_iso(cur, cfg.iso_ratio_limit)),
-         ("e_size", cfg.lambda_size, lambda cur: e_size(cur, cfg.size_alpha))])
+         ("e_iso", cfg.lambda_iso, lambda cur: e_iso(cur)),
+         ("e_size", cfg.lambda_size, lambda cur: e_size(cur))])
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +388,7 @@ def align_canonical(source: GaussianSet, driver: GaussianSet,
     matched-cluster centroid distance, and rigidity against the original
     source (which anchors local shape while the body moves globally).
     """
-    radius = cfg.truncation_radius
-    masks = [splat(driver, cam, truncation_radius=radius).alpha for cam in cameras]
+    masks = [splat(driver, cam).alpha for cam in cameras]
     clusters = match_clusters(source, driver, cfg.clusters_per_label, cfg.seed)
     graph = knn_build(source.positions, source.positions, cfg.k_neighbors,
                       cfg.length_scale, normalize=False)
@@ -401,7 +396,7 @@ def align_canonical(source: GaussianSet, driver: GaussianSet,
         source,
         {"positions": cfg.lr_position, "rotations": cfg.lr_rotation},
         cfg.lr_end_factor, cfg.iterations_align,
-        [("e_mask", 1.0, lambda cur: e_mask(cur, masks, cameras, truncation_radius=radius)),
+        [("e_mask", 1.0, lambda cur: e_mask(cur, masks, cameras)),
          ("e_sem", cfg.lambda_sem, lambda cur: e_sem(cur, clusters.targets, clusters.members)),
          ("e_arap", cfg.lambda_arap_align, lambda cur: e_arap(source, cur, graph))])
 

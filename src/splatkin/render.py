@@ -11,11 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GaussianSet, quat_to_matrix
+from .core import GaussianSet, _frozen, quat_to_matrix
 from .errors import InvalidArgumentError
 
 # 2D covariances with eigenvalue ratio beyond this are treated as singular
 COND_LIMIT = 1e12
+# largest image side in pixels a camera may have; images are allocated whole
+MAX_RESOLUTION = 4096
 # squared-radius widening of the per-line footprint spans; it exceeds the relative
 # rounding error of qform (about 1e-16 * COND_LIMIT) by far
 _SPAN_SLACK = 1.02
@@ -42,12 +44,10 @@ class OrthoCamera:
     resolution: tuple[int, int]  # (W, H) pixels
 
     def __post_init__(self):
-        self.rotation = np.ascontiguousarray(self.rotation, dtype=np.float64)
-        self.center = np.ascontiguousarray(self.center, dtype=np.float64)
+        self.rotation = _frozen(self.rotation, "camera rotation")
+        self.center = _frozen(self.center, "camera center")
         if self.rotation.shape != (3, 3) or self.center.shape != (3,):
             raise InvalidArgumentError("camera rotation must be (3,3) and center (3,)")
-        if not (np.all(np.isfinite(self.rotation)) and np.all(np.isfinite(self.center))):
-            raise InvalidArgumentError("camera contains non-finite values")
         ortho_err = np.abs(self.rotation @ self.rotation.T - np.eye(3)).max()
         if ortho_err > 1e-6 or np.linalg.det(self.rotation) < 0.0:
             raise InvalidArgumentError("camera rotation must be a proper rotation matrix")
@@ -56,6 +56,9 @@ class OrthoCamera:
         w, h = self.resolution
         if w < 1 or h < 1:
             raise InvalidArgumentError("resolution must be positive")
+        if w > MAX_RESOLUTION or h > MAX_RESOLUTION:
+            raise InvalidArgumentError(
+                f"resolution {w}x{h} exceeds the {MAX_RESOLUTION}-pixel side limit")
 
     @classmethod
     def axis_view(cls, axis: str, center, width: float, height: float,
@@ -68,7 +71,7 @@ class OrthoCamera:
         right = np.cross(up_hint, forward)
         right = right / np.linalg.norm(right)
         up = np.cross(forward, right)
-        return cls(rotation=np.stack([right, up, forward]), center=np.asarray(center, dtype=np.float64),
+        return cls(rotation=np.stack([right, up, forward]), center=center,
                    width=width, height=height, resolution=resolution)
 
     def pixel_matrix(self) -> np.ndarray:
@@ -86,18 +89,9 @@ def world_covariances(rot: np.ndarray, log_scales: np.ndarray) -> np.ndarray:
     return scaled @ scaled.transpose(0, 2, 1)
 
 
-def project(gset: GaussianSet, camera: OrthoCamera):
-    """Project kernels: returns (means_px (N,2), covs_px (N,2,2), depths (N,)).
-
-    The 2D covariance is the view-plane block of the rotated 3D covariance
-    R diag(exp(2s)) R^T, expressed in pixel units. Depth is the coordinate
-    along the view axis (smaller = closer to the camera).
-    """
-    cov3 = world_covariances(quat_to_matrix(gset.rotations), gset.log_scales)
-    return _project(gset.positions, cov3, camera)
-
-
 def _project(positions: np.ndarray, cov3: np.ndarray, camera: OrthoCamera):
+    """Pixel means (N,2), pixel-unit view-plane blocks (N,2,2) of ``cov3`` and
+    depths (N,) along the view axis (smaller = closer to the camera)."""
     m = camera.pixel_matrix()
     offsets = positions - camera.center
     w_px, h_px = camera.resolution

@@ -110,8 +110,8 @@ class SyntheticScene:
 
     def _set_from_cloud(self, cloud: PointCloud, labels, role: Role, count_area: float,
                         anisotropy: float, opacity: float, stream: int) -> GaussianSet:
-        if not np.isfinite(anisotropy):
-            raise InvalidArgumentError(f"anisotropy must be finite, got {anisotropy}")
+        if not 1.0 <= anisotropy < np.inf:
+            raise InvalidArgumentError(f"anisotropy must be finite and at least 1, got {anisotropy}")
         n = len(cloud)
         spacing = np.sqrt(count_area / n)
         base = np.log(0.5 * spacing)
@@ -132,13 +132,13 @@ class SyntheticScene:
             label_names=self.label_names,
         )
 
-    def motion_set(self, anisotropy: float = 1.0, opacity: float = 0.8) -> GaussianSet:
+    def motion_set(self, anisotropy: float = 1.0) -> GaussianSet:
         return self._set_from_cloud(self.motion, self.motion_labels, Role.MOTION,
-                                    self.params["area"], anisotropy, opacity, stream=101)
+                                    self.params["area"], anisotropy, opacity=0.8, stream=101)
 
-    def appearance_set(self, anisotropy: float = 1.0, opacity: float = 0.9) -> GaussianSet:
+    def appearance_set(self, anisotropy: float = 1.0) -> GaussianSet:
         return self._set_from_cloud(self.surface, self.surface_labels, Role.APPEARANCE,
-                                    self.params["area"], anisotropy, opacity, stream=102)
+                                    self.params["area"], anisotropy, opacity=0.9, stream=102)
 
 
 def _quat_about_z(angles: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from .core import (
     GaussianSet,
     NeighborGraph,
     Role,
+    _frozen,
     quat_blend_many,
     quat_inverse,
     quat_multiply,
@@ -34,16 +35,12 @@ class FrameMotion:
     frame: int = 0
 
     def __post_init__(self):
-        self.delta_p = np.ascontiguousarray(self.delta_p, dtype=np.float64)
-        self.delta_q = np.ascontiguousarray(self.delta_q, dtype=np.float64)
+        self.delta_p = _frozen(self.delta_p, "delta_p")
+        self.delta_q = _frozen(self.delta_q, "delta_q")
         if self.delta_p.ndim != 2 or self.delta_p.shape[1] != 3:
             raise InvalidArgumentError(f"delta_p must be (M,3), got {self.delta_p.shape}")
         if self.delta_q.shape != (self.delta_p.shape[0], 4):
             raise InvalidArgumentError(f"delta_q must be (M,4), got {self.delta_q.shape}")
-        if not (np.all(np.isfinite(self.delta_p)) and np.all(np.isfinite(self.delta_q))):
-            raise InvalidArgumentError("frame motion contains non-finite values")
-        self.delta_p.flags.writeable = False
-        self.delta_q.flags.writeable = False
 
     def __len__(self) -> int:
         return self.delta_p.shape[0]

@@ -1,14 +1,26 @@
 """Per-kernel footprints padded to the widest window: the reference layout
 that the flat-entry ``render._footprints`` replaced, kept for the splat and
-mask-energy reference implementations in the tests."""
+mask-energy reference implementations in the tests, plus the whole-set
+projection they start from."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from splatkin.core import GaussianSet
+from splatkin.core import GaussianSet, quat_to_matrix
 from splatkin.errors import InvalidArgumentError
-from splatkin.render import COND_LIMIT, OrthoCamera, project
+from splatkin.render import COND_LIMIT, OrthoCamera, _project, world_covariances
+
+
+def project(gset: GaussianSet, camera: OrthoCamera):
+    """Project kernels: returns (means_px (N,2), covs_px (N,2,2), depths (N,)).
+
+    The 2D covariance is the view-plane block of the rotated 3D covariance
+    R diag(exp(2s)) R^T, expressed in pixel units. Depth is the coordinate
+    along the view axis (smaller = closer to the camera).
+    """
+    cov3 = world_covariances(quat_to_matrix(gset.rotations), gset.log_scales)
+    return _project(gset.positions, cov3, camera)
 
 
 @dataclass

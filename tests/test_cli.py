@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from splatkin.cli import main
+from splatkin.render import MAX_RESOLUTION
 from splatkin.fileio import (
     read_gmap,
     read_gset,
@@ -210,6 +211,25 @@ def small_scene(tmp_path_factory):
     return out
 
 
+def _inputs(command, scene, tmp_path):
+    """Valid arguments for ``command`` on the small scene, writing under ``tmp_path``."""
+    appearance = scene / "appearance_canonical.gset"
+    labels = scene / "appearance_labels.csv"
+    return {
+        "render": ("--input", appearance, "--out", tmp_path / "x.ppm"),
+        "synth": ("--kind", "twolink", "--out", tmp_path / "s", "--frames", 1,
+                  "--amplitude", 0.1, "--n-motion", 20, "--n-appearance", 30),
+        "align": ("--source", appearance, "--source-labels", labels,
+                  "--driver", appearance, "--driver-labels", labels,
+                  "--out", tmp_path / "a.gset", "--trace", tmp_path / "t.csv"),
+    }[command]
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestExitCodes:
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = _run("render", "--input", tmp_path / "nope.gset", "--out", tmp_path / "x.ppm")
@@ -270,21 +290,34 @@ class TestExitCodes:
     ])
     def test_non_finite_number_is_runtime_error(self, small_scene, tmp_path, capsys,
                                                 command, flag, value):
-        appearance = small_scene / "appearance_canonical.gset"
-        labels = small_scene / "appearance_labels.csv"
-        inputs = {
-            "render": ("--input", appearance, "--out", tmp_path / "x.ppm"),
-            "synth": ("--kind", "twolink", "--out", tmp_path / "s", "--frames", 1,
-                      "--amplitude", 0.1, "--n-motion", 20, "--n-appearance", 30),
-            "align": ("--source", appearance, "--source-labels", labels,
-                      "--driver", appearance, "--driver-labels", labels,
-                      "--out", tmp_path / "a.gset", "--trace", tmp_path / "t.csv"),
-        }[command]
         capsys.readouterr()
-        rc = _run(command, *inputs, flag, value)
+        rc = _run(command, *_inputs(command, small_scene, tmp_path), flag, value)
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("extra", [
+        ("--frames", 0),
+        ("--frames", -2),
+        ("--anisotropy", -3),
+        ("--anisotropy", 0.5),
+        ("--frames", 2, "--amplitude", 5),  # a joint angle beyond the bend limit
+    ], ids=["frames-0", "frames-negative", "anisotropy-negative", "anisotropy-below-1",
+            "amplitude-beyond-bend"])
+    def test_bad_synth_argument_writes_nothing(self, small_scene, tmp_path, capsys, extra):
+        capsys.readouterr()
+        rc = _run("synth", *_inputs("synth", small_scene, tmp_path), *extra)
+        assert rc == 1
+        _assert_one_error_line(capsys)
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("command,flag", [("render", "--resolution"),
+                                              ("align", "--mask-resolution")])
+    def test_resolution_above_cap_is_runtime_error(self, small_scene, tmp_path, capsys,
+                                                   command, flag):
+        capsys.readouterr()
+        rc = _run(command, *_inputs(command, small_scene, tmp_path), flag, MAX_RESOLUTION + 1)
+        assert rc == 1
+        _assert_one_error_line(capsys)
 
     def test_missing_required_argument_is_usage_error(self, capsys):
         assert _run("init") == 2

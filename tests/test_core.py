@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from splatkin.core import (
     GaussianSet,
+    NeighborGraph,
+    PointCloud,
     Role,
     knn_build,
     quat_blend,
@@ -19,9 +21,11 @@ from splatkin.core import (
     quat_rotate,
     quat_rotation_jacobian,
     quat_to_matrix,
-    weight_rbf,
 )
 from splatkin.errors import DegenerateBlendError, InvalidArgumentError
+from splatkin.morton import AttributeMap, Box, MortonMapping
+from splatkin.render import OrthoCamera
+from splatkin.warp import FrameMotion
 
 RT2 = np.sqrt(0.5)
 
@@ -40,6 +44,41 @@ def _set(n=4, channels=3, seed=0, role=Role.MOTION):
 
 # ---------------------------------------------------------------------------
 # container
+
+
+def _contract_case(name):
+    """A container constructor and the caller-owned arrays (of the stored dtype) it gets."""
+    rng = np.random.default_rng(7)
+    unit = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
+    return {
+        "GaussianSet": (lambda **a: GaussianSet(role=Role.MOTION, **a), dict(
+            positions=rng.normal(size=(4, 3)), rotations=unit, log_scales=rng.normal(size=(4, 3)),
+            opacities=np.full(4, 0.5), colors=rng.random((4, 3)), labels=np.arange(4))),
+        "PointCloud": (PointCloud, dict(points=rng.normal(size=(4, 3)), colors=rng.random((4, 3)))),
+        "NeighborGraph": (lambda **a: NeighborGraph(normalized=False, **a), dict(
+            indices=np.zeros((4, 2), dtype=np.int64), weights=np.ones((4, 2)))),
+        "FrameMotion": (FrameMotion, dict(delta_p=rng.normal(size=(4, 3)), delta_q=unit)),
+        "MortonMapping": (lambda **a: MortonMapping(resolution=(2, 2), valid_count=4, **a),
+                          dict(uv=np.array([[0, 0], [1, 0], [0, 1], [1, 1]]))),
+        "OrthoCamera": (lambda **a: OrthoCamera(width=1.0, height=1.0, resolution=(4, 4), **a),
+                        dict(rotation=np.eye(3), center=np.zeros(3))),
+        "Box": (Box, dict(lo=np.zeros(3), hi=np.ones(3))),
+        "AttributeMap": (AttributeMap, dict(data=np.zeros((2, 2, 3), dtype=np.float32))),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["GaussianSet", "PointCloud", "NeighborGraph", "FrameMotion",
+                                  "MortonMapping", "OrthoCamera", "Box", "AttributeMap"])
+def test_container_holds_read_only_views_of_caller_arrays(name):
+    build, arrays = _contract_case(name)
+    obj = build(**arrays)
+    for field, buf in arrays.items():
+        stored = getattr(obj, field)
+        assert np.shares_memory(stored, buf)  # no copy of a conforming array
+        with pytest.raises(ValueError):
+            stored[(0,) * stored.ndim] = 1
+        assert buf.flags.writeable
+        buf[(0,) * buf.ndim] = 1  # the caller's buffer is not frozen in place
 
 
 class TestGaussianSet:
@@ -212,11 +251,6 @@ class TestBlend:
 
 
 class TestNeighbors:
-    def test_rbf_value(self):
-        # [TRIVIAL] w = exp(-d^2 / l^2) at d=0.2, l=0.5
-        w = weight_rbf(np.zeros(3), np.array([0.2, 0.0, 0.0]), 0.5)
-        assert w == pytest.approx(np.exp(-0.04 / 0.25), rel=1e-12)
-
     def test_knn_basic(self):
         ref = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
         g = knn_build(np.array([[0.9, 0, 0]]), ref, k=2, length_scale=1.0, normalize=False)

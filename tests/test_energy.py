@@ -28,9 +28,9 @@ from splatkin.energy import (
 )
 from splatkin.errors import InvalidArgumentError
 from splatkin.gradcheck import _CASE_BUILDERS, run_gradcheck, THRESHOLDS
-from splatkin.render import OrthoCamera, _footprints, project, splat, world_covariances
+from splatkin.render import OrthoCamera, _footprints, splat, world_covariances
 
-from _padded_footprints import padded_footprints
+from _padded_footprints import padded_footprints, project
 
 
 def _single(position=(0.0, 0.0, 0.0), log_scales=(-3.0, -3.0, -3.0),

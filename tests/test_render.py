@@ -5,9 +5,9 @@ import pytest
 
 from splatkin.core import GaussianSet, Role, quat_normalize
 from splatkin.errors import InvalidArgumentError
-from splatkin.render import OrthoCamera, project, splat
+from splatkin.render import MAX_RESOLUTION, OrthoCamera, splat
 
-from _padded_footprints import padded_footprints
+from _padded_footprints import padded_footprints, project
 
 
 def _set(positions, opacities, colors=None, log_scale=-1.0, rotations=None):
@@ -57,6 +57,17 @@ class TestCamera:
         with pytest.raises(InvalidArgumentError):
             OrthoCamera(rotation=bad, center=np.zeros(3), width=1.0, height=1.0,
                         resolution=(4, 4))
+
+    @pytest.mark.parametrize("resolution", [(MAX_RESOLUTION + 1, 8), (8, MAX_RESOLUTION + 1),
+                                            (100_000_000, 100_000_000)])
+    def test_rejects_side_above_cap(self, resolution):
+        # the camera holds no image, so the check itself allocates nothing
+        with pytest.raises(InvalidArgumentError, match="side limit"):
+            OrthoCamera.axis_view("+z", np.zeros(3), 1.0, 1.0, resolution)
+
+    def test_accepts_side_at_cap(self):
+        cam = OrthoCamera.axis_view("+z", np.zeros(3), 1.0, 1.0, (MAX_RESOLUTION, 1))
+        assert cam.resolution == (MAX_RESOLUTION, 1)
 
 
 class TestCoverage:
