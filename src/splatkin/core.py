@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -17,6 +18,9 @@ from .errors import DegenerateBlendError, InvalidArgumentError
 
 # Below this norm a quaternion (or a blend of quaternions) is treated as degenerate.
 DEGENERATE_NORM = 1e-9
+
+# quaternion conjugation as a per-component sign
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 # knn_build asks the k-d tree for this many neighbors beyond k, and accepts a row
 # once its farthest candidate exceeds the k-th squared distance by this relative
@@ -137,6 +141,11 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def tree(self) -> cKDTree:
+        """k-d tree of ``points``, built on first use and kept: a cloud is a fixed target."""
+        return cKDTree(self.points)
+
 
 @dataclass
 class NeighborGraph:
@@ -160,6 +169,64 @@ class NeighborGraph:
 # quaternion algebra
 
 
+def _hamilton(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Hamilton product q1 (x) q2, broadcasting over leading dimensions; unchecked."""
+    w1, x1, y1, z1 = np.moveaxis(q1, -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(q2, -1, 0)
+    out = np.empty(np.broadcast_shapes(q1.shape, q2.shape))
+    out[..., 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    out[..., 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    out[..., 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    out[..., 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    return out
+
+
+def _unit_rotation(q_raw: np.ndarray):
+    """(q_hat, |q|, R(q_hat)) of raw quaternions (...,4) from one norm; unchecked.
+
+    ``|q|`` keeps its trailing axis, so it broadcasts against ``q_hat``.
+    """
+    norm = np.linalg.norm(q_raw, axis=-1, keepdims=True)
+    q_hat = q_raw / norm
+    w, x, y, z = np.moveaxis(q_hat, -1, 0)
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    rot = np.empty(q_raw.shape[:-1] + (3, 3))
+    rot[..., 0, 0] = 1 - 2 * (yy + zz)
+    rot[..., 0, 1] = 2 * (xy - wz)
+    rot[..., 0, 2] = 2 * (xz + wy)
+    rot[..., 1, 0] = 2 * (xy + wz)
+    rot[..., 1, 1] = 1 - 2 * (xx + zz)
+    rot[..., 1, 2] = 2 * (yz - wx)
+    rot[..., 2, 0] = 2 * (xz - wy)
+    rot[..., 2, 1] = 2 * (yz + wx)
+    rot[..., 2, 2] = 1 - 2 * (xx + yy)
+    return q_hat, norm, rot
+
+
+def _rotation_grad(q_hat: np.ndarray, norm: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """d tr(G^T R(q/|q|)) / d q for raw quaternions q = |q| q_hat; unchecked.
+
+    ``g`` is (...,3,3). The gradient in q_hat is 2 K(G) q_hat with K the
+    symmetric 4x4 matrix of G's antisymmetric and symmetric parts (the
+    contraction of G with ``quat_rotation_jacobian``); the normalization
+    (I - q_hat q_hat^T)/|q| then removes the radial part.
+    """
+    w, x, y, z = np.moveaxis(q_hat, -1, 0)
+    g00, g01, g02, g10, g11, g12, g20, g21, g22 = np.moveaxis(
+        g.reshape(g.shape[:-2] + (9,)), -1, 0)
+    a, b, c = g21 - g12, g02 - g20, g10 - g01
+    s01, s02, s12 = g01 + g10, g02 + g20, g12 + g21
+    k = np.empty(q_hat.shape)  # K(G) q_hat
+    k[..., 0] = a * x + b * y + c * z
+    k[..., 1] = a * w - 2.0 * (g11 + g22) * x + s01 * y + s02 * z
+    k[..., 2] = b * w + s01 * x - 2.0 * (g00 + g22) * y + s12 * z
+    k[..., 3] = c * w + s02 * x + s12 * y - 2.0 * (g00 + g11) * z
+    k -= np.einsum("...q,...q->...", k, q_hat)[..., None] * q_hat
+    return k * (2.0 / norm)
+
+
 def quat_normalize(q) -> np.ndarray:
     """Normalize to unit norm; raises on (near) zero input."""
     q = _frozen(q, "quaternion")
@@ -171,19 +238,7 @@ def quat_normalize(q) -> np.ndarray:
 
 def quat_multiply(q1, q2) -> np.ndarray:
     """Hamilton product, broadcasting over leading dimensions."""
-    q1 = _frozen(q1, "q1")
-    q2 = _frozen(q2, "q2")
-    w1, x1, y1, z1 = np.moveaxis(q1, -1, 0)
-    w2, x2, y2, z2 = np.moveaxis(q2, -1, 0)
-    return np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ],
-        axis=-1,
-    )
+    return _hamilton(_frozen(q1, "q1"), _frozen(q2, "q2"))
 
 
 def quat_inverse(q) -> np.ndarray:
@@ -192,18 +247,17 @@ def quat_inverse(q) -> np.ndarray:
     norm_sq = np.sum(q * q, axis=-1, keepdims=True)
     if np.any(norm_sq <= DEGENERATE_NORM**2):
         raise InvalidArgumentError("cannot invert a zero-norm quaternion")
-    conj = q * np.array([1.0, -1.0, -1.0, -1.0])
-    return conj / norm_sq
+    return q * _CONJ / norm_sq
 
 
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrix of the normalized quaternion; batch-aware ((...,4) -> (...,3,3))."""
-    q = quat_normalize(q)
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    row0 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1)
-    row1 = np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1)
-    row2 = np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
+    q = _frozen(q, "quaternion")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, norm, rot = _unit_rotation(q)
+    if np.any(norm <= DEGENERATE_NORM):
+        raise InvalidArgumentError("cannot normalize a zero-norm quaternion")
+    return rot
 
 
 def quat_rotate(q, v) -> np.ndarray:
@@ -211,6 +265,11 @@ def quat_rotate(q, v) -> np.ndarray:
     rot = quat_to_matrix(q)
     v = _frozen(v, "vector")
     return np.einsum("...ij,...j->...i", rot, v)
+
+
+# Explicit Jacobians of the rotation algebra. The energies use the closed forms
+# above; these stay public because the tests hold the closed forms to them and
+# perfbench/tracing.py wraps them by name.
 
 
 def quat_rotation_jacobian(q_unit) -> np.ndarray:

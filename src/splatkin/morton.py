@@ -238,18 +238,25 @@ def random_mapping(n: int, resolution: tuple[int, int], seed: int) -> MortonMapp
     return _mapping_from_order(order, resolution)
 
 
-def pack_map(mapping: MortonMapping, values) -> AttributeMap:
-    """Scatter per-kernel rows (N,C) into a (H,W,C) float32 map; invalid pixels stay zero."""
-    values = np.ascontiguousarray(values)
+def pack_map(mapping: MortonMapping, values, name: str = "values") -> AttributeMap:
+    """Scatter per-kernel rows (N,C) into a (H,W,C) float32 map; invalid pixels stay zero.
+
+    Values must be finite and within float32 range; errors name them ``name``.
+    """
+    values = _frozen(values, name)
     if values.ndim != 2:
-        raise InvalidArgumentError(f"values must be (N,C), got {values.shape}")
+        raise InvalidArgumentError(f"{name} must be (N,C), got {values.shape}")
     if values.shape[0] != mapping.valid_count:
         raise InvalidArgumentError(
-            f"value count {values.shape[0]} does not match mapping size {mapping.valid_count}"
+            f"{name} count {values.shape[0]} does not match mapping size {mapping.valid_count}"
         )
+    with np.errstate(over="ignore"):
+        packed = values.astype(np.float32)
+    if not np.all(np.isfinite(packed)):
+        raise InvalidArgumentError(f"{name} overflows float32")
     w, h = mapping.resolution
     data = np.zeros((h, w, values.shape[1]), dtype=np.float32)
-    data[mapping.uv[:, 1], mapping.uv[:, 0]] = values.astype(np.float32)
+    data[mapping.uv[:, 1], mapping.uv[:, 0]] = packed
     return AttributeMap(data=data)
 
 
@@ -265,7 +272,7 @@ def unpack_map(mapping: MortonMapping, amap: AttributeMap) -> np.ndarray:
 def locality_score(mapping: MortonMapping, positions) -> float:
     """Mean 3D distance between each kernel and the kernels on its 4-connected
     UV neighbor pixels (invalid pixels contribute nothing)."""
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    positions = _frozen(positions, "positions")
     if positions.shape[0] != mapping.valid_count:
         raise InvalidArgumentError("positions must match mapping size")
     if mapping.valid_count < 2:

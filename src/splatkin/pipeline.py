@@ -92,13 +92,20 @@ class Adam(object):
                     f"{group['value'].shape} for group {name!r}")
             if not np.all(np.isfinite(g)):
                 raise InvalidArgumentError(f"non-finite gradient for group {name!r}")
-            group["m"] = _BETA1 * group["m"] + (1.0 - _BETA1) * g
-            group["v"] = _BETA2 * group["v"] + (1.0 - _BETA2) * g * g
-            m_hat = group["m"] / (1.0 - _BETA1**self.t)
-            v_hat = group["v"] / (1.0 - _BETA2**self.t)
-            group["value"] -= self._lr(group) * m_hat / (np.sqrt(v_hat) + _EPS)
+            m, v, value = group["m"], group["v"], group["value"]
+            # in place, with the same operations in the same order as the textbook update
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            denom = np.sqrt(v / (1.0 - _BETA2**self.t))
+            denom += _EPS
+            step = m / (1.0 - _BETA1**self.t)
+            step *= self._lr(group)
+            step /= denom
+            value -= step
             if group["unit_rows"]:
-                group["value"][:] = quat_normalize(group["value"])
+                value /= np.linalg.norm(value, axis=1, keepdims=True)
 
 
 def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray]:

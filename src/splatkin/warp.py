@@ -120,10 +120,10 @@ def disassemble(gset: GaussianSet, mapping: MortonMapping) -> dict[str, Attribut
         )
     shape_vals = np.concatenate([gset.log_scales, gset.opacities[:, None]], axis=1)
     return {
-        "position": pack_map(mapping, gset.positions),
-        "rotation": pack_map(mapping, gset.rotations),
-        "shape": pack_map(mapping, shape_vals),
-        "color": pack_map(mapping, gset.colors),
+        "position": pack_map(mapping, gset.positions, "position map"),
+        "rotation": pack_map(mapping, gset.rotations, "rotation map"),
+        "shape": pack_map(mapping, shape_vals, "shape map"),
+        "color": pack_map(mapping, gset.colors, "color map"),
     }
 
 

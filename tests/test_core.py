@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splatkin.core import (
+    _hamilton,
+    _rotation_grad,
+    _unit_rotation,
     GaussianSet,
     NeighborGraph,
     PointCloud,
@@ -193,6 +196,56 @@ class TestQuaternions:
             fd[:, a] = (quat_normalize(q + dq) - quat_normalize(q - dq)) / (2 * h)
         # convention: jac[a, b] = d q_hat_b / d q_a
         assert np.abs(jac - fd.T).max() < 1e-6
+
+
+class TestQuaternionKernels:
+    """The unchecked kernels against the checked helpers and the explicit Jacobians."""
+
+    def _raw(self, n, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, 4)) * rng.uniform(0.5, 2.0, size=(n, 1)), rng
+
+    def test_unit_rotation_is_bitwise_the_checked_helpers(self):
+        q, _ = self._raw(50, 1)
+        q_hat, norm, rot = _unit_rotation(q)
+        assert np.array_equal(q_hat, quat_normalize(q))
+        assert np.array_equal(norm[:, 0], np.linalg.norm(q, axis=1))
+        assert np.array_equal(rot, quat_to_matrix(q))
+
+    def test_hamilton_is_bitwise_quat_multiply(self):
+        q1, rng = self._raw(50, 2)
+        q2 = rng.normal(size=(50, 4))
+        assert np.array_equal(_hamilton(q1, q2), quat_multiply(q1, q2))
+
+    def test_rotation_grad_matches_jacobian_chain(self):
+        q, rng = self._raw(200, 3)
+        g = rng.normal(size=(200, 3, 3))
+        q_hat, norm, _ = _unit_rotation(q)
+        grad_hat = np.einsum("nij,nqij->nq", g, quat_rotation_jacobian(q_hat))
+        want = np.einsum("nq,nqr->nr", grad_hat, quat_normalize_jacobian(q))
+        got = _rotation_grad(q_hat, norm, g)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_rotation_grad_matches_fd(self):
+        q, rng = self._raw(1, 4)
+        g = rng.normal(size=(3, 3))
+        q_hat, norm, _ = _unit_rotation(q[0])
+        got = _rotation_grad(q_hat, norm, g)
+        h = 1e-6
+        for a in range(4):
+            dq = np.zeros(4)
+            dq[a] = h
+            fd = (np.sum(g * quat_to_matrix(q[0] + dq))
+                  - np.sum(g * quat_to_matrix(q[0] - dq))) / (2 * h)
+            assert got[a] == pytest.approx(fd, abs=1e-7)
+
+    def test_right_multiply_transpose_is_conjugate_product(self):
+        # M(r)^T g == g (x) conj(r): the chain e_arap takes back to the current rotation
+        g, rng = self._raw(20, 5)
+        r = rng.normal(size=(20, 4))
+        want = np.einsum("nr,nrs->ns", g, quat_right_multiply_matrix(r))
+        got = _hamilton(g, r * [1.0, -1.0, -1.0, -1.0])
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def _poly_matrix(q):

@@ -4,14 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splatkin.core import (
     GaussianSet,
+    NeighborGraph,
     PointCloud,
     Role,
     knn_build,
+    quat_inverse,
+    quat_multiply,
     quat_normalize,
     quat_normalize_jacobian,
+    quat_right_multiply_matrix,
     quat_rotation_jacobian,
     quat_to_matrix,
 )
@@ -132,6 +138,19 @@ class TestDataPoints:
         with pytest.raises(InvalidArgumentError):
             e_data_points(g, cloud)
 
+    def test_target_tree_built_once_per_cloud(self):
+        g = _rand_set(6, seed=6)
+        cloud = PointCloud(points=g.positions + 0.1, colors=g.colors.copy())
+        first = e_data_points(g, cloud)
+        tree = cloud.tree
+        moved = g.replace(positions=g.positions - 0.2)
+        e_data_points(moved, cloud)
+        assert cloud.tree is tree
+        assert np.array_equal(tree.data, cloud.points)
+        # a fresh cloud with the same points gives the same bits
+        again = e_data_points(g, PointCloud(points=cloud.points, colors=cloud.colors))
+        assert again.value == first.value and np.array_equal(again.grad_p, first.grad_p)
+
 
 class TestSem:
     def test_hand_value(self):
@@ -198,6 +217,109 @@ class TestArap:
         graph = knn_build(prev.positions[:5], prev.positions[:5], 2, 0.5, normalize=False)
         with pytest.raises(InvalidArgumentError):
             e_arap(prev, prev, graph)
+
+
+# e_arap through the explicit Jacobian tensors, kept as the reference for the closed form
+def _e_arap_reference(prev: GaussianSet, cur: GaussianSet, graph: NeighborGraph) -> EnergyEval:
+    """As-rigid-as-possible deformation energy between consecutive states.
+
+    sum_i sum_{k in N(i)} w_ik | R(q_i,cur q_i,prev^-1)(p_k,prev - p_i,prev)
+    - (p_k,cur - p_i,cur) |^2 with the raw RBF weights carried by ``graph``
+    (built once from canonical positions). Gradients cover current positions
+    and raw current rotations; the previous state is a constant.
+    """
+    n = len(cur)
+    if len(prev) != n:
+        raise InvalidArgumentError(f"kernel counts differ: {len(prev)} vs {n}")
+    if len(graph) != n:
+        raise InvalidArgumentError("graph was not built for these sets")
+    if graph.indices.size and graph.indices.max() >= n:
+        raise InvalidArgumentError("graph references kernels beyond the set")
+
+    prev_inv = quat_inverse(prev.rotations)
+    q_raw = quat_multiply(cur.rotations, prev_inv)
+    q_hat = quat_normalize(q_raw)
+    delta_rot = quat_to_matrix(q_hat)
+
+    idx = graph.indices
+    w = graph.weights
+    a = prev.positions[idx] - prev.positions[:, None, :]  # (N,k,3)
+    b = cur.positions[idx] - cur.positions[:, None, :]
+    e = np.einsum("nij,nkj->nki", delta_rot, a) - b
+    value = float(np.sum(w * np.sum(e * e, axis=2)))
+
+    we = 2.0 * w[:, :, None] * e
+    grad_p = np.sum(we, axis=1)
+    np.add.at(grad_p, idx, -we)
+
+    g_rot = np.einsum("nki,nkj->nij", we, a)  # dV/d(delta_rot)
+    j_rot = quat_rotation_jacobian(q_hat)  # (N,4,3,3)
+    grad_q_hat = np.einsum("nij,nqij->nq", g_rot, j_rot)
+    proj = quat_normalize_jacobian(q_raw)  # (N,4,4)
+    right = quat_right_multiply_matrix(prev_inv)  # q_raw = right @ q_cur
+    grad_q = np.einsum("nq,nqr,nrs->ns", grad_q_hat, proj, right)
+    return EnergyEval(value=value, grad_p=grad_p, grad_q=grad_q)
+
+
+# a raw quaternion: any direction, norm in [0.5, 2]
+_RAW_QUAT = st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda v: np.linalg.norm(v) > 0.1),
+    st.floats(0.5, 2.0),
+).map(lambda dn: np.asarray(dn[0]) / np.linalg.norm(dn[0]) * dn[1])
+
+
+@st.composite
+def _arap_case(draw):
+    """prev/cur sets and a graph; cur rotations are free or near-antipodal to prev."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k, 9))
+    prev_q = np.stack([draw(_RAW_QUAT) for _ in range(n)])
+    if draw(st.booleans()):
+        cur_q = np.stack([draw(_RAW_QUAT) for _ in range(n)])
+    else:
+        # cur = -|s| prev (x) (small turn): q_raw lands next to w = -1
+        angle = draw(st.floats(0.0, 1e-3))
+        axis = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+            lambda v: np.linalg.norm(v) > 0.1)))
+        turn = np.concatenate([[np.cos(angle / 2)], np.sin(angle / 2) * axis / np.linalg.norm(axis)])
+        scale = draw(st.floats(0.5, 2.0))
+        cur_q = -scale * quat_multiply(prev_q, turn)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gset(rotations):
+        return GaussianSet(positions=rng.normal(size=(n, 3)), rotations=rotations,
+                           log_scales=np.full((n, 3), -2.0), opacities=np.full(n, 0.5),
+                           colors=np.zeros((n, 1)), role=Role.MOTION)
+
+    graph = NeighborGraph(indices=rng.integers(0, n, size=(n, k)),
+                          weights=rng.uniform(0.0, 1.0, size=(n, k)), normalized=False)
+    return gset(prev_q), gset(cur_q), graph
+
+
+class TestArapMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_arap_case())
+    def test_value_and_gradients_to_rounding(self, case):
+        prev, cur, graph = case
+        out = e_arap(prev, cur, graph)
+        ref = _e_arap_reference(prev, cur, graph)
+        assert abs(out.value - ref.value) <= 1e-14 * abs(ref.value)
+        for got, want in ((out.grad_p, ref.grad_p), (out.grad_q, ref.grad_q)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_largest_deviation_on_a_tracking_size_set(self):
+        prev = _rand_set(300, seed=30)
+        rng = np.random.default_rng(31)
+        cur = prev.replace(positions=prev.positions + 0.05 * rng.normal(size=(300, 3)),
+                           rotations=rng.normal(size=(300, 4)) * rng.uniform(0.5, 2.0, (300, 1)))
+        graph = knn_build(prev.positions, prev.positions, 4, 0.5, normalize=False)
+        out = e_arap(prev, cur, graph)
+        ref = _e_arap_reference(prev, cur, graph)
+        assert abs(out.value - ref.value) <= 1e-14 * ref.value
+        for got, want in ((out.grad_p, ref.grad_p), (out.grad_q, ref.grad_q)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestMask:

@@ -167,6 +167,12 @@ class TestAlternativeLayouts:
                                 valid_count=2)
         assert locality_score(mapping, pts) == pytest.approx(0.5)
 
+    def test_locality_score_rejects_non_finite_positions(self):
+        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0], [1, 0], [0, 1], [1, 1]]),
+                                valid_count=4)
+        with pytest.raises(InvalidArgumentError, match="positions"):
+            locality_score(mapping, np.full((4, 3), np.nan))
+
 
 class TestAttributeMaps:
     def test_pack_unpack_round_trip(self):
@@ -189,6 +195,20 @@ class TestAttributeMaps:
         mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0]]), valid_count=1)
         with pytest.raises(InvalidArgumentError):
             pack_map(mapping, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad, message", [(1e39, "overflows float32"),
+                                              (-1e39, "overflows float32"),
+                                              (np.nan, "non-finite"), (np.inf, "non-finite")])
+    def test_values_outside_float32_rejected(self, bad, message):
+        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0], [1, 1]]), valid_count=2)
+        values = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(InvalidArgumentError, match=f"colors.*{message}"):
+            pack_map(mapping, values, "colors")
+
+    def test_largest_float32_packs(self):
+        mapping = MortonMapping(resolution=(1, 1), uv=np.array([[0, 0]]), valid_count=1)
+        top = float(np.finfo(np.float32).max)
+        assert pack_map(mapping, np.array([[top, -top]])).data.tolist() == [[[top, -top]]]
 
     def test_resolution_mismatch_rejected(self):
         mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0]]), valid_count=1)

@@ -7,6 +7,9 @@ from splatkin.core import PointCloud, Role, knn_build, quat_normalize
 from splatkin.energy import e_arap, e_data_points
 from splatkin.errors import InvalidArgumentError
 from splatkin.pipeline import (
+    _BETA1,
+    _BETA2,
+    _EPS,
     Adam,
     TrackConfig,
     TransferConfig,
@@ -84,6 +87,31 @@ class TestAdam:
         adam.add_group("x", np.zeros((2, 3)), lr_start=0.1)
         with pytest.raises(InvalidArgumentError):
             adam.step({"x": np.zeros((3, 2))})
+
+    def test_in_place_step_is_bitwise_the_textbook_update(self):
+        rng = np.random.default_rng(5)
+        steps = 25
+        adam = Adam(total_steps=steps)
+        adam.add_group("positions", rng.normal(size=(300, 3)), 1e-2, 1e-3)
+        adam.add_group("rotations", quat_normalize(rng.normal(size=(300, 4))), 1e-2, 1e-3,
+                       unit_rows=True)
+        ref = {name: {"value": adam[name].copy(), "m": 0.0, "v": 0.0}
+               for name in ("positions", "rotations")}
+        for t in range(1, steps + 1):
+            grads = {name: rng.normal(size=adam[name].shape) for name in ref}
+            adam.step(grads)
+            lr_frac = (t - 1) / (steps - 1)
+            for name, group in ref.items():
+                g = grads[name]
+                group["m"] = _BETA1 * group["m"] + (1.0 - _BETA1) * g
+                group["v"] = _BETA2 * group["v"] + (1.0 - _BETA2) * g * g
+                m_hat = group["m"] / (1.0 - _BETA1**t)
+                v_hat = group["v"] / (1.0 - _BETA2**t)
+                lr = 1e-2 + (1e-3 - 1e-2) * lr_frac
+                group["value"] -= lr * m_hat / (np.sqrt(v_hat) + _EPS)
+                if name == "rotations":
+                    group["value"][:] = quat_normalize(group["value"])
+                assert np.array_equal(adam[name], group["value"]), (name, t)
 
 
 class TestKMeans:

@@ -137,6 +137,14 @@ class TestAttributeRoundTrip:
             assert np.array_equal(getattr(back, name), orig.astype(np.float64)), name
         assert back.frame == 3
 
+    def test_values_beyond_float32_name_their_map(self):
+        gset = _rand_set(6, seed=21, role=Role.APPEARANCE)
+        mapping = build_mapping(gset.positions, (3, 2), bits=4)
+        far = gset.positions.copy()
+        far[2, 1] = 1e39
+        with pytest.raises(InvalidArgumentError, match="position map overflows float32"):
+            disassemble(gset.replace(positions=far), mapping)
+
     def test_count_mismatch_rejected(self):
         gset = _rand_set(6, seed=19)
         mapping = build_mapping(np.random.default_rng(1).random((5, 3)), (3, 2), bits=4)
