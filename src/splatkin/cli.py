@@ -274,9 +274,10 @@ def cmd_gradcheck(args) -> int:
 # parser
 
 
-def _add_common(sub, config=True):
+def _add_common(sub, config=True, seed=False):
     if config:
         sub.add_argument("--config", help="key=value configuration file")
+    if seed:
         sub.add_argument("--seed", type=int, help="override the configured seed")
     sub.add_argument("--threads", type=int, default=1,
                      help="has no effect: all work runs on one thread")
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-motion", type=int, default=500)
     p.add_argument("--n-appearance", type=int, default=2000)
     p.add_argument("--anisotropy", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("init", help="fit a canonical kernel set to a colored cloud")
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--views", default="+z,+x,+y", help="comma-separated view axes")
     p.add_argument("--mask-resolution", type=int, default=64)
     p.add_argument("--window-scale", type=float, default=1.4)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("transfer", help="re-perform driver motion on an aligned set")
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("locality", help="score pixel layouts for spatial coherence")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_locality)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients by finite differences")

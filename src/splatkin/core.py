@@ -98,6 +98,10 @@ class GaussianSet:
             self.labels = _frozen(self.labels, "labels", np.int64)
             if self.labels.shape != (n,):
                 raise InvalidArgumentError(f"labels must be (N,), got {self.labels.shape}")
+            if self.label_names is not None and n and (
+                    self.labels.min() < 0 or self.labels.max() >= len(self.label_names)):
+                raise InvalidArgumentError(
+                    f"label ids must lie in [0, {len(self.label_names)}) to match label_names")
 
     def __len__(self) -> int:
         return self.positions.shape[0]

@@ -23,7 +23,7 @@ from .core import (
     _unit_rotation,
 )
 from .errors import InvalidArgumentError
-from .render import OrthoCamera, _footprints, world_covariances
+from .render import OrthoCamera, _footprints, _transmittance, world_covariances
 
 # keeps the leave-one-out coverage gradient finite for fully opaque kernels
 _OPACITY_CEILING = 1.0 - 1e-9
@@ -216,9 +216,8 @@ def e_mask(gset: GaussianSet, masks, cameras, truncation_radius: float = 3.0) ->
                 f"mask shape {mask.shape} does not match camera resolution {(h_px, w_px)}"
             )
         fp = _footprints(gset, cov3, camera, truncation_radius, opacity_ceiling=_OPACITY_CEILING)
-        pixel = fp.pix_y * w_px + fp.pix_x
-        one_minus = np.ones(h_px * w_px)
-        np.multiply.at(one_minus, pixel, 1.0 - fp.g)
+        pixel = fp.pixel
+        one_minus = _transmittance(pixel, fp.g, h_px * w_px)
         resid = (1.0 - one_minus).reshape(h_px, w_px) - mask
         value += float(np.abs(resid).sum())
         if fp.g.size == 0:
@@ -228,11 +227,11 @@ def e_mask(gset: GaussianSet, masks, cameras, truncation_radius: float = 3.0) ->
         coeff = np.sign(resid).ravel()[pixel] * one_minus[pixel] / (1.0 - fp.g) * fp.g
         row, k = fp.row, fp.kept.size
         inv00, inv01, _, inv11 = fp.inv_covs.reshape(k, 4)[row].T
-        ad0 = inv00 * fp.d[:, 0] + inv01 * fp.d[:, 1]  # inv . d
-        ad1 = inv01 * fp.d[:, 0] + inv11 * fp.d[:, 1]
+        ad0 = inv00 * fp.dx + inv01 * fp.dy  # inv . d
+        ad1 = inv01 * fp.dx + inv11 * fp.dy
         c0 = coeff * ad0
         c1 = coeff * ad1
-        m = fp.pixel_matrix
+        m = camera.pixel_matrix()
         grad_p[fp.kept] += np.stack([np.bincount(row, c0, k), np.bincount(row, c1, k)], axis=1) @ m
 
         # dL/d(2D covariance) = 0.5 sum coeff (inv d)(inv d)^T, pulled back through m

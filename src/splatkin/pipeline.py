@@ -176,7 +176,7 @@ class TrackConfig:
     lr_scale: float = 1e-3
     lr_color: float = 1e-3
     lr_end_factor: float = 0.1
-    seed: int = 0
+    seed: int = 0  # not read: fitting and tracking draw no random numbers
 
 
 @dataclass
@@ -344,6 +344,8 @@ def match_clusters(source: GaussianSet, driver: GaussianSet,
     """
     if source.labels is None or driver.labels is None:
         raise InvalidArgumentError("semantic alignment needs labels on both sets")
+    if source.label_names is None or driver.label_names is None:
+        raise InvalidArgumentError("semantic alignment needs label names on both sets")
     shared = sorted(set(source.label_names) & set(driver.label_names))
     if not shared:
         raise InvalidArgumentError("no shared label names between the two sets")

@@ -118,11 +118,10 @@ class _Footprints:
     depths: np.ndarray  # (K,)
     valid: np.ndarray  # (S,) bool per slot: the slot is an entry
     row: np.ndarray  # (E,) kernel row into ``kept`` of each entry
-    pix_x: np.ndarray  # (E,) int
-    pix_y: np.ndarray  # (E,) int
+    pixel: np.ndarray  # (E,) flat image index y*W + x
     g: np.ndarray  # (E,) contribution
-    d: np.ndarray  # (E,2) pixel center minus mean
-    pixel_matrix: np.ndarray  # (2,3)
+    dx: np.ndarray  # (E,) pixel center minus mean, x
+    dy: np.ndarray  # (E,) pixel center minus mean, y
 
 
 def _footprints(gset: GaussianSet, cov3: np.ndarray, camera: OrthoCamera,
@@ -185,10 +184,11 @@ def _footprints(gset: GaussianSet, cov3: np.ndarray, camera: OrthoCamera,
     line_len = np.where(reach_sq >= 0.0, np.maximum(hi - lo + 1, 0), 0).astype(np.int64)
 
     slot_row = np.repeat(line_row, line_len)
-    pix_y = np.repeat(line_y, line_len)
-    pix_x = (np.arange(slot_row.size)
+    # each slot's pixel x, then its flat image index y*W + x in the same buffer
+    pixel = (np.arange(slot_row.size)
              - np.repeat(np.cumsum(line_len) - line_len - lo.astype(np.int64), line_len))
-    dx = pix_x + 0.5 - np.repeat(line_mu_x, line_len)
+    dx = pixel + 0.5 - np.repeat(line_mu_x, line_len)
+    pixel += np.repeat(line_y * w_px, line_len)
     dy = np.repeat(line_dy, line_len)
     inv00, inv01, inv11 = (np.repeat(v, line_len) for v in line_inv)
     qform = inv00 * dx ** 2 + 2.0 * inv01 * dx * dy + inv11 * dy ** 2
@@ -201,23 +201,22 @@ def _footprints(gset: GaussianSet, cov3: np.ndarray, camera: OrthoCamera,
     np.exp(g, out=g)
     g *= opac[row]
     return _Footprints(kept=kept, skipped=skipped, inv_covs=inv, depths=depths[kept],
-                       valid=valid, row=row, pix_x=pix_x[entry], pix_y=pix_y[entry], g=g,
-                       d=np.stack([dx[entry], dy[entry]], axis=1),
-                       pixel_matrix=camera.pixel_matrix())
+                       valid=valid, row=row, pixel=pixel[entry], g=g, dx=dx[entry], dy=dy[entry])
+
+
+def _transmittance(pixel: np.ndarray, g: np.ndarray, n_pixels: int) -> np.ndarray:
+    """Flat per-pixel product of (1 - g) over footprint entries: one minus the coverage."""
+    one_minus = np.ones(n_pixels)
+    np.multiply.at(one_minus, pixel, 1.0 - g)
+    return one_minus
 
 
 @dataclass
 class RenderOutput:
-    """Rendered images plus per-kernel footprints.
-
-    ``footprints[i]`` is a (m,2) int array of (x, y) pixels and a (m,) array of
-    contributions for kernel i (empty for skipped kernels); ``skipped`` counts
-    kernels dropped for singular 2D covariance.
-    """
+    """Rendered images; ``skipped`` counts kernels dropped for singular 2D covariance."""
 
     rgb: np.ndarray  # (H,W,3) in [0,1]
     alpha: np.ndarray  # (H,W) in [0,1]
-    footprints: list
     skipped: int
 
 
@@ -233,26 +232,17 @@ def splat(gset: GaussianSet, camera: OrthoCamera, truncation_radius: float = 3.0
     w_px, h_px = camera.resolution
     fp = _footprints(gset, world_covariances(quat_to_matrix(gset.rotations), gset.log_scales),
                      camera, truncation_radius)
-    row, g = fp.row, fp.g
-    pix = np.stack([fp.pix_x, fp.pix_y], axis=1)
-    counts = np.zeros(len(gset), dtype=np.int64)
-    counts[fp.kept] = np.bincount(row, minlength=fp.kept.size)
+    row, pixel, g = fp.row, fp.pixel, fp.g
     depth_rank = np.empty(fp.kept.size, dtype=np.int64)
     depth_rank[np.argsort(fp.depths, kind="stable")] = np.arange(fp.kept.size)
     kernel_color = gset.colors[fp.kept, :3]
     skipped = fp.skipped
     del fp
 
-    pixel = pix[:, 1] * w_px + pix[:, 0]
-    one_minus = np.ones(h_px * w_px)
-    np.multiply.at(one_minus, pixel, 1.0 - g)
-    alpha = (1.0 - one_minus).reshape(h_px, w_px)
+    alpha = (1.0 - _transmittance(pixel, g, h_px * w_px)).reshape(h_px, w_px)
     rgb = _composite(pixel, depth_rank[row], row, g, kernel_color, h_px * w_px)
-
-    ends = np.cumsum(counts)
-    footprints = list(zip(np.split(pix, ends)[:-1], np.split(g, ends)[:-1]))
     return RenderOutput(rgb=np.clip(rgb.reshape(h_px, w_px, 3), 0.0, 1.0), alpha=alpha,
-                        footprints=footprints, skipped=skipped)
+                        skipped=skipped)
 
 
 def _composite(pixel, rank, row, g, kernel_color, n_pixels) -> np.ndarray:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from splatkin.cli import main
+from splatkin.cli import build_parser, main
 from splatkin.render import MAX_RESOLUTION
 from splatkin.fileio import (
     read_gmap,
@@ -318,6 +318,33 @@ class TestExitCodes:
         rc = _run(command, *_inputs(command, small_scene, tmp_path), flag, MAX_RESOLUTION + 1)
         assert rc == 1
         _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command,required", [
+        ("init", ("--input", "--target", "--out", "--trace")),
+        ("track", ("--canonical", "--targets", "--out-dir")),
+        ("warp", ("--appearance", "--canonical", "--deformed", "--out")),
+        ("map", ("--input", "--out")),
+        ("regress", ("--mapping", "--appearance", "--canonical", "--deformed", "--out-dir")),
+        ("transfer", ("--aligned", "--source-canonical", "--driver-canonical",
+                      "--driver-frames", "--out-dir")),
+    ])
+    def test_seed_only_where_read(self, tmp_path, capsys, command, required):
+        # every required argument points at a missing file: without --seed the
+        # command parses and fails at run time, so the usage error is --seed's
+        argv = [command, *(a for flag in required for a in (flag, tmp_path / "absent"))]
+        assert _run(*argv) == 1
+        capsys.readouterr()
+        assert _run(*argv, "--seed", 3) == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,required", [
+        ("synth", ("--kind", "twolink", "--out", "s", "--amplitude", "0.1")),
+        ("align", ("--source", "a", "--source-labels", "b", "--driver", "c",
+                   "--driver-labels", "d", "--out", "e", "--trace", "f")),
+        ("locality", ("--input", "a", "--out", "b")),
+    ])
+    def test_seed_where_read(self, command, required):
+        assert build_parser().parse_args([command, *required, "--seed", "3"]).seed == 3
 
     def test_missing_required_argument_is_usage_error(self, capsys):
         assert _run("init") == 2

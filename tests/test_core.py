@@ -127,6 +127,16 @@ class TestGaussianSet:
         with pytest.raises(InvalidArgumentError):
             g.replace(labels=np.zeros(3, dtype=np.int64))
 
+    @pytest.mark.parametrize("bad_id", [2, 7, -1])
+    def test_label_ids_must_index_names(self, bad_id):
+        g = _set().replace(labels=np.array([0, 1, 0, 1]), label_names=("a", "b"))
+        labels = g.labels.copy()
+        labels[2] = bad_id
+        with pytest.raises(InvalidArgumentError, match=r"label ids must lie in \[0, 2\)"):
+            g.replace(labels=labels)
+        # without a name table the ids are not checked against one
+        assert g.replace(labels=labels, label_names=None).labels[2] == bad_id
+
 
 # ---------------------------------------------------------------------------
 # quaternions

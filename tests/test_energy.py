@@ -332,6 +332,23 @@ class TestMask:
         # opacity ceiling offset keeps this near but not exactly zero
         assert out.value < 1e-6
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("axis,resolution", [("+z", (24, 24)), ("-x", (19, 13)),
+                                                 ("+y", (9, 30))])
+    def test_value_is_splat_coverage_residual(self, seed, axis, resolution):
+        # splat and e_mask share one coverage product: below the opacity ceiling
+        # the L1 residual of splat's alpha is the e_mask value, bit for bit
+        rng = np.random.default_rng(60 + seed)
+        g = _rand_set(40, seed=50 + seed).replace(
+            positions=rng.normal(size=(40, 3)) * 0.6, log_scales=rng.uniform(-1.8, -0.8, (40, 3)),
+            rotations=rng.normal(size=(40, 4)) * rng.uniform(0.5, 2.0, (40, 1)))
+        assert g.opacities.max() < _OPACITY_CEILING
+        cam = OrthoCamera.axis_view(axis, np.zeros(3), 4.0, 3.0, resolution)
+        mask = (rng.random(resolution[::-1]) < 0.5) * rng.uniform(0.3, 1.0)
+        expected = float(np.abs(splat(g, cam).alpha - mask).sum())
+        assert expected > 0.0
+        assert e_mask(g, [mask], [cam]).value == expected
+
     def test_value_counts_all_views(self):
         g = _rand_set(5, seed=14).replace(log_scales=np.full((5, 3), -1.5))
         cam = OrthoCamera.axis_view("+z", np.zeros(3), 6.0, 6.0, (16, 16))

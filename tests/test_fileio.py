@@ -246,6 +246,17 @@ class TestKernelSetFiles:
         with pytest.raises(FormatError, match=r"p\.gset:8: integer .* out of int64 range"):
             read_gset(path, label_names=("left", "right"))
 
+    def test_label_id_beyond_names(self, tmp_path):
+        gset = _random_set(np.random.default_rng(19), n=3, labels=True)
+        path = tmp_path / "p.gset"
+        write_gset(path, gset)
+        lines = path.read_text().splitlines()
+        lines[7] = " ".join([*lines[7].split()[:-1], "2"])
+        path.write_text("\n".join(lines) + "\n")
+        assert read_gset(path).labels[2] == 2  # no names: ids are kept as read
+        with pytest.raises(FormatError, match=r"p\.gset: label ids must lie in \[0, 2\)"):
+            read_gset(path, label_names=("left", "right"))
+
     def test_frame_beyond_int64(self, tmp_path):
         gset = _random_set(np.random.default_rng(18), n=2)
         path = tmp_path / "q.gset"

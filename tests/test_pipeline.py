@@ -6,6 +6,7 @@ import pytest
 from splatkin.core import PointCloud, Role, knn_build, quat_normalize
 from splatkin.energy import e_arap, e_data_points
 from splatkin.errors import InvalidArgumentError
+from splatkin.fileio import read_gset, write_gset
 from splatkin.pipeline import (
     _BETA1,
     _BETA2,
@@ -193,6 +194,25 @@ class TestMatchClusters:
         src = sc.appearance_set().replace(labels=None, label_names=None)
         with pytest.raises(InvalidArgumentError):
             match_clusters(src, sc.motion_set(), clusters_per_label=2, seed=0)
+
+    def test_requires_label_names(self, tmp_path):
+        # a labeled gset read without its name table carries ids but no names
+        sc = make_scene("twolink", 40, 80, seed=11)
+        write_gset(tmp_path / "a.gset", sc.appearance_set())
+        src = read_gset(tmp_path / "a.gset")
+        assert src.labels is not None and src.label_names is None
+        with pytest.raises(InvalidArgumentError, match="label names"):
+            match_clusters(src, sc.appearance_set(), clusters_per_label=2, seed=0)
+        with pytest.raises(InvalidArgumentError, match="label names"):
+            match_clusters(sc.appearance_set(), src, clusters_per_label=2, seed=0)
+
+    def test_label_ids_beyond_names_rejected(self):
+        # an id past the name table would leave its kernels out of every cluster
+        src = make_scene("twolink", 40, 80, seed=12).appearance_set()
+        labels = src.labels.copy()
+        labels[labels == src.label_names.index("tip")] = 7
+        with pytest.raises(InvalidArgumentError, match="label ids"):
+            src.replace(labels=labels)
 
 
 def _fast_track_cfg(**kw):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from splatkin.core import GaussianSet, Role, quat_normalize
+from splatkin.core import GaussianSet, Role, quat_normalize, quat_to_matrix
 from splatkin.errors import InvalidArgumentError
-from splatkin.render import MAX_RESOLUTION, OrthoCamera, splat
+from splatkin.render import MAX_RESOLUTION, OrthoCamera, _footprints, splat, world_covariances
 
 from _padded_footprints import padded_footprints, project
 
@@ -31,6 +31,22 @@ def _rand_set(n, seed):
     return _set(rng.normal(size=(n, 3)) * 0.8, rng.uniform(0.2, 0.9, n),
                 colors=rng.random((n, 3)), log_scale=-1.0,
                 rotations=quat_normalize(rng.normal(size=(n, 4))))
+
+
+def _footprint_lists(gset, camera, truncation_radius=3.0):
+    """``_footprints`` entries grouped per kernel: (m,2) int (x, y) pixels and (m,)
+    contributions for each kernel of ``gset`` (empty for skipped kernels), plus
+    the skipped count."""
+    cov3 = world_covariances(quat_to_matrix(gset.rotations), gset.log_scales)
+    fp = _footprints(gset, cov3, camera, truncation_radius)
+    assert np.all(np.diff(fp.row) >= 0)  # kernel-major entries
+    y, x = np.divmod(fp.pixel, camera.resolution[0])
+    pix = np.stack([x, y], axis=1)
+    lists = [(np.zeros((0, 2), dtype=np.int64), np.zeros(0)) for _ in range(len(gset))]
+    for row, kernel_index in enumerate(fp.kept):
+        sel = fp.row == row
+        lists[kernel_index] = (pix[sel], fp.g[sel])
+    return lists, fp.skipped
 
 
 class TestCamera:
@@ -141,8 +157,7 @@ class TestFootprints:
     def test_truncation_limits_extent(self):
         cam = OrthoCamera.axis_view("+z", np.zeros(3), 8.0, 8.0, (64, 64))
         g = _set([[0.0, 0.0, 0.0]], [0.9], log_scale=np.log(0.5))
-        out = splat(g, cam, truncation_radius=2.0)
-        pix, contrib = out.footprints[0]
+        [(pix, contrib)], _ = _footprint_lists(g, cam, truncation_radius=2.0)
         assert len(pix) > 0
         # no contribution beyond the truncation ellipse: qform <= rho^2
         # pixel scale: 64 px / 8 m = 8 px/m, sigma = 0.5 m = 4 px
@@ -163,7 +178,7 @@ class TestFootprints:
         g = _set([[0.0, 0.0, 0.0]], [0.0])
         out = splat(g, cam)
         assert np.all(out.alpha == 0.0)
-        pix, contrib = out.footprints[0]
+        [(pix, contrib)], _ = _footprint_lists(g, cam)
         assert len(pix) == 0
 
     def test_alpha_reconstructable_from_footprints(self):
@@ -171,7 +186,7 @@ class TestFootprints:
         cam = OrthoCamera.axis_view("+x", np.zeros(3), 5.0, 5.0, (18, 18))
         out = splat(g, cam)
         one_minus = np.ones((18, 18))
-        for pix, contrib in out.footprints:
+        for pix, contrib in _footprint_lists(g, cam)[0]:
             for (x, y), gi in zip(pix, contrib):
                 one_minus[y, x] *= 1.0 - gi
         assert np.abs((1.0 - one_minus) - out.alpha).max() < 1e-12
@@ -233,8 +248,10 @@ class TestMatchesReference:
         assert out.skipped == skipped >= 1
         assert out.rgb.tobytes() == rgb.tobytes()
         assert out.alpha.tobytes() == alpha.tobytes()
-        assert len(out.footprints) == len(footprints)
-        for (pix, contrib), (ref_pix, ref_contrib) in zip(out.footprints, footprints):
+        lists, fp_skipped = _footprint_lists(g, cam, truncation_radius=2.5)
+        assert fp_skipped == skipped
+        assert len(lists) == len(footprints)
+        for (pix, contrib), (ref_pix, ref_contrib) in zip(lists, footprints):
             assert pix.dtype == ref_pix.dtype and pix.shape == ref_pix.shape
             assert pix.tobytes() == ref_pix.tobytes()
             assert contrib.tobytes() == ref_contrib.tobytes()
@@ -254,7 +271,9 @@ class TestMatchesReference:
         assert out.skipped == skipped
         assert out.rgb.tobytes() == rgb.tobytes()
         assert out.alpha.tobytes() == alpha.tobytes()
-        for (pix, contrib), (ref_pix, ref_contrib) in zip(out.footprints, footprints):
+        lists, _ = _footprint_lists(g, cam, truncation_radius)
+        assert len(lists) == len(footprints)
+        for (pix, contrib), (ref_pix, ref_contrib) in zip(lists, footprints):
             assert pix.tobytes() == ref_pix.tobytes()
             assert contrib.tobytes() == ref_contrib.tobytes()
 
@@ -263,5 +282,6 @@ class TestMatchesReference:
         cam = OrthoCamera.axis_view("+z", np.full(3, 100.0), 1.0, 1.0, (8, 8))
         out = splat(g, cam)
         assert np.all(out.alpha == 0.0) and np.all(out.rgb == 0.0)
-        assert all(len(pix) == 0 and len(c) == 0 for pix, c in out.footprints)
-        assert len(out.footprints) == 16
+        lists, _ = _footprint_lists(g, cam)
+        assert all(len(pix) == 0 and len(c) == 0 for pix, c in lists)
+        assert len(lists) == 16
