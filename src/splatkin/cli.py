@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Thin wrappers over the library: every subcommand reads/writes the text and
-binary formats from ``fileio`` and delegates the actual work. Exit codes:
-0 success, 1 runtime failure (one line on stderr), 2 usage error.
+Thin wrappers over the library: every subcommand reads and writes the
+formats of ``fileio`` (binary kernel sets and attribute maps; text configs,
+labels, mappings and traces) and delegates the actual work. All work runs on
+one thread. Exit codes: 0 success, 1 runtime failure (one line on stderr),
+2 usage error.
 """
 
 from __future__ import annotations
@@ -274,13 +276,10 @@ def cmd_gradcheck(args) -> int:
 # parser
 
 
-def _add_common(sub, config=True, seed=False):
-    if config:
-        sub.add_argument("--config", help="key=value configuration file")
+def _add_common(sub, seed=False):
+    sub.add_argument("--config", help="key=value configuration file")
     if seed:
         sub.add_argument("--seed", type=int, help="override the configured seed")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="has no effect: all work runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=256)
     p.add_argument("--window", type=float, help="window side in world units (default: auto)")
     p.add_argument("--truncation", type=float, default=3.0)
-    _add_common(p, config=False)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("locality", help="score pixel layouts for spatial coherence")
@@ -385,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--terms", help="comma-separated term names (default: all)")
-    _add_common(p, config=False)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

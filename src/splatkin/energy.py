@@ -109,8 +109,9 @@ def e_iso(gset: GaussianSet, ratio_limit: float = 4.0) -> EnergyEval:
     value = float(np.sum(np.where(active, ratio - ratio_limit, 0.0)) / n)
     grad_s = np.zeros_like(s)
     coeff = np.where(active, ratio, 0.0) / n
-    np.add.at(grad_s, (rows, hi), coeff)
-    np.add.at(grad_s, (rows, lo), -coeff)
+    # one hi and one lo entry per row; where all three scales tie they cancel to 0.0
+    grad_s[rows, hi] = coeff
+    grad_s[rows, lo] -= coeff
     return EnergyEval(value=value, grad_s=grad_s)
 
 

@@ -1,15 +1,18 @@
 """On-disk formats: kernel sets, attribute maps, labels, images, configs.
 
-Everything here is deliberately strict — truncated payloads, unknown keys,
-stray tokens, or non-finite numbers are errors, never warnings. Floats in
-text formats are written with ``repr`` so parsing them back is bit-exact.
+Kernel sets and attribute maps are little-endian binary: a fixed header, then
+raw blocks read back as views at fixed offsets. Labels, mappings, configs and
+traces are text. Everything here is deliberately strict — truncated payloads,
+trailing bytes, unknown keys, stray tokens, or non-finite numbers are errors,
+never warnings. Kernel sets round-trip bit-exactly, and so do the floats of
+traces, which are written with ``repr``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
-from itertools import chain
 
 import numpy as np
 
@@ -17,12 +20,14 @@ from .core import GaussianSet, Role
 from .errors import FormatError, InvalidArgumentError, TruncationError
 from .morton import AttributeMap, MortonMapping
 
+GSET_MAGIC = b"GSET"
+GSET_VERSION = 1
 GMAP_MAGIC = b"GMAP"
 GMAP_VERSION = 1
-
-# gset records are parsed and formatted this many at a time, so the Python
-# strings and floats of one chunk are all that is alive at once
-_CHUNK_RECORDS = 256
+# magic, version, role code, color channels, labelled flag, frame, count
+_GSET_HEADER = struct.Struct("<4sIIIIqQ")
+# magic, version, width, height, channels
+_GMAP_HEADER = struct.Struct("<4sIIII")
 
 
 def _fmt(x: float) -> str:
@@ -52,157 +57,86 @@ _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 def _parse_int64(token: str, where: str) -> int:
-    """An integer field stored as int64 (kernel-set and mapping files)."""
+    """An integer field stored as int64 (mapping files)."""
     value = _parse_int(token, where)
     if not _INT64_MIN <= value <= _INT64_MAX:
         raise FormatError(f"{where}: integer {token!r} out of int64 range")
     return value
 
 
+def _binary_header(path, blob, layout: struct.Struct, magic: bytes, version: int) -> list:
+    """The header fields of ``blob`` after its magic and version, which must match."""
+    if len(blob) < layout.size:
+        raise TruncationError(f"{path}: header needs {layout.size} bytes, file has {len(blob)}")
+    found_magic, found_version, *fields = layout.unpack_from(blob)
+    if found_magic != magic:
+        raise FormatError(f"{path}: bad magic {found_magic!r}")
+    if found_version != version:
+        raise FormatError(f"{path}: unsupported version {found_version}")
+    return fields
+
+
+def _check_size(path, size: int, expect: int, unit: str = "bytes") -> None:
+    """A short payload is truncation; a long one has trailing bytes."""
+    if size < expect:
+        raise TruncationError(f"{path}: expected {expect} {unit}, got {size}")
+    if size > expect:
+        raise FormatError(f"{path}: {size - expect} trailing bytes after payload")
+
+
 # ---------------------------------------------------------------------------
-# kernel sets (text)
+# kernel sets (binary)
+
+_GSET_ROLES = (Role.MOTION, Role.APPEARANCE)  # indexed by role code
 
 
 def write_gset(path, gset: GaussianSet) -> None:
-    """One kernel per line after a five-line header; optional trailing label id."""
-    table = np.hstack([gset.positions, gset.rotations, gset.log_scales,
-                       gset.opacities[:, None], gset.colors])
-    if not np.all(np.isfinite(table)):
+    """The header, then one block per field in field order; labels last, if any."""
+    blocks = (gset.positions, gset.rotations, gset.log_scales, gset.opacities, gset.colors)
+    if not all(np.all(np.isfinite(block)) for block in blocks):
         raise InvalidArgumentError("refusing to write non-finite value")
-    with open(path, "w") as fh:
-        fh.write(f"GSET 1\nrole {gset.role.value}\nframe {gset.frame}\ncount {len(gset)}\n"
-                 f"color_channels {gset.color_channels}\n")
-        for start in range(0, len(gset), _CHUNK_RECORDS):
-            stop = start + _CHUNK_RECORDS
-            rows = [" ".join(map(repr, row)) for row in table[start:stop].tolist()]
-            if gset.labels is not None:
-                labels = gset.labels[start:stop].tolist()
-                rows = [f"{row} {label}" for row, label in zip(rows, labels)]
-            fh.write("".join(f"{i} {row}\n" for i, row in enumerate(rows, start)))
-
-
-def _header_line(lines: list[str], lineno: int, key: str, path) -> str:
-    if lineno >= len(lines):
-        raise TruncationError(f"{path}: missing header line {key!r}")
-    parts = lines[lineno].split()
-    if len(parts) != 2 or parts[0] != key:
-        raise FormatError(f"{path}:{lineno + 1}: expected '{key} <value>', got {lines[lineno]!r}")
-    return parts[1]
-
-
-def _parse_all(parse, tokens: list, fallback=None) -> list:
-    """``parse`` over every token; a token it rejects becomes ``fallback``."""
-    try:
-        return list(map(parse, tokens))
-    except ValueError:
-        def lenient(token):
-            try:
-                return parse(token)
-            except ValueError:
-                return fallback
-        return list(map(lenient, tokens))
-
-
-def _parse_records(records: list[str], start: int, base: int, labeled: bool, path):
-    """Bulk-parse gset records numbered from ``start``: (values (n, base), label ids).
-
-    The first record failing any check is re-checked on its own, so the error
-    is the one a record-by-record pass would raise.
-    """
-    fields = base + 1 + labeled
-    tokens = [ln.split() for ln in records]
-    whole = next((i for i, tok in enumerate(tokens) if len(tok) != fields), len(tokens))
-    flat = list(chain.from_iterable(tokens[:whole]))  # records before `whole` are whole
-    index = _parse_all(int, flat[0::fields])
-    values = np.array(_parse_all(float, [t for tok in tokens[:whole] for t in tok[1:base + 1]],
-                                 math.nan)).reshape(whole, base)
-    labels = _parse_all(int, flat[base + 1::fields]) if labeled else []
-    not_finite = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    first = min(whole,
-                next((i for i, v in enumerate(index) if v != start + i), whole),
-                int(not_finite[0]) if not_finite.size else whole,
-                next((i for i, v in enumerate(labels)
-                      if v is None or not 0 <= v <= _INT64_MAX), whole))
-    if first < len(tokens):
-        _check_record(tokens[first], start + first, base, labeled, f"{path}:{6 + start + first}")
-    return values, labels
-
-
-def _check_record(tok: list[str], i: int, base: int, labeled: bool, where: str) -> None:
-    """read_gset's checks of one record, in order; raises on the first that fails."""
-    if len(tok) != base + 1 + labeled:
-        raise FormatError(f"{where}: record has {len(tok)} fields, expected "
-                          f"{base + 1 + labeled}")
-    if _parse_int(tok[0], where) != i:
-        raise FormatError(f"{where}: record index {tok[0]} out of order (expected {i})")
-    for t in tok[1:base + 1]:
-        _parse_float(t, where)
-    if labeled and _parse_int64(tok[-1], where) < 0:
-        raise FormatError(f"{where}: negative label id")
+    if not (0 <= gset.frame <= _INT64_MAX and len(gset) >= 1 and gset.color_channels >= 1):
+        raise InvalidArgumentError(f"refusing to write frame {gset.frame}, count {len(gset)}, "
+                                   f"{gset.color_channels} color channels")
+    labelled = gset.labels is not None
+    with open(path, "wb") as fh:
+        fh.write(_GSET_HEADER.pack(GSET_MAGIC, GSET_VERSION, _GSET_ROLES.index(gset.role),
+                                   gset.color_channels, labelled, gset.frame, len(gset)))
+        for block in blocks:
+            fh.write(block.astype("<f8", copy=False).tobytes())
+        if labelled:
+            fh.write(gset.labels.astype("<i8", copy=False).tobytes())
 
 
 def read_gset(path, label_names: tuple[str, ...] | None = None) -> GaussianSet:
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].split() != ["GSET", "1"]:
-        raise FormatError(f"{path}:1: expected 'GSET 1' header")
-    role_s = _header_line(lines, 1, "role", path)
-    try:
-        role = Role(role_s)
-    except ValueError:
-        raise FormatError(f"{path}:2: unknown role {role_s!r}") from None
-    frame = _parse_int64(_header_line(lines, 2, "frame", path), f"{path}:3")
-    count = _parse_int(_header_line(lines, 3, "count", path), f"{path}:4")
-    channels = _parse_int(_header_line(lines, 4, "color_channels", path), f"{path}:5")
-    if frame < 0:
-        raise FormatError(f"{path}:3: frame must be >= 0")
-    if count < 1:
-        raise FormatError(f"{path}:4: count must be >= 1")
-    if channels < 1:
-        raise FormatError(f"{path}:5: color_channels must be >= 1")
-
-    body = lines[5:]
-    while body and not body[-1].strip():
-        body.pop()
-    for off, ln in enumerate(body):
-        if not ln.strip():
-            raise FormatError(f"{path}:{6 + off}: blank line inside the record block")
-    records = body
-    if len(records) < count:
-        raise TruncationError(f"{path}: expected {count} records, found {len(records)}")
-    if len(records) > count:
-        raise FormatError(f"{path}: trailing content after {count} records")
-
-    base = 11 + channels  # index + 3 pos + 4 rot + 3 scale + opacity + colors
-    first_len = len(records[0].split())
-    if first_len == base + 1:
-        labeled = False
-    elif first_len == base + 2:
-        labeled = True
-    else:
-        raise FormatError(f"{path}:6: record has {first_len} fields, expected "
-                          f"{base + 1} or {base + 2}")
-
-    positions = np.empty((count, 3))
-    rotations = np.empty((count, 4))
-    log_scales = np.empty((count, 3))
-    opacities = np.empty(count)
-    colors = np.empty((count, channels))
-    labels = np.empty(count, dtype=np.int64) if labeled else None
-    for start in range(0, count, _CHUNK_RECORDS):
-        rows = slice(start, start + _CHUNK_RECORDS)
-        values, chunk_labels = _parse_records(records[rows], start, base, labeled, path)
-        positions[rows] = values[:, 0:3]
-        rotations[rows] = values[:, 3:7]
-        log_scales[rows] = values[:, 7:10]
-        opacities[rows] = values[:, 10]
-        colors[rows] = values[:, 11:]
-        if labeled:
-            labels[rows] = chunk_labels
+    with open(path, "rb") as fh:
+        # the file starts 4 bytes into the buffer, so the blocks after the 36-byte header
+        # lie on 8-byte boundaries: NumPy sums misaligned arrays with other rounding
+        buf = np.empty(os.fstat(fh.fileno()).st_size + 4, dtype=np.uint8)
+        blob = buf[4:4 + fh.readinto(memoryview(buf)[4:])]
+    role, channels, labelled, frame, count = _binary_header(path, blob, _GSET_HEADER,
+                                                            GSET_MAGIC, GSET_VERSION)
+    if role >= len(_GSET_ROLES):
+        raise FormatError(f"{path}: unknown role code {role}")
+    if labelled > 1:
+        raise FormatError(f"{path}: labelled flag must be 0 or 1, got {labelled}")
+    if frame < 0 or count < 1 or channels < 1:
+        raise FormatError(f"{path}: bad header: frame {frame}, count {count}, "
+                          f"{channels} color channels")
+    widths = (3, 4, 3, 1, channels)
+    _check_size(path, len(blob), _GSET_HEADER.size + 8 * count * (sum(widths) + labelled))
+    blocks, offset = [], _GSET_HEADER.size
+    for width in widths:
+        blocks.append(np.frombuffer(blob, "<f8", count * width, offset).reshape(count, width))
+        offset += 8 * count * width
+    labels = np.frombuffer(blob, "<i8", count, offset) if labelled else None
+    if labelled and labels.min() < 0:
+        raise FormatError(f"{path}: negative label id")
+    positions, rotations, log_scales, opacities, colors = blocks
     try:
         return GaussianSet(positions=positions, rotations=rotations,
-                           log_scales=log_scales, opacities=opacities,
-                           colors=colors, role=role, frame=frame,
+                           log_scales=log_scales, opacities=opacities.reshape(count),
+                           colors=colors, role=_GSET_ROLES[role], frame=frame,
                            labels=labels, label_names=label_names)
     except InvalidArgumentError as exc:
         raise FormatError(f"{path}: {exc}") from None
@@ -264,28 +198,18 @@ def write_gmap(path, amap: AttributeMap) -> None:
         raise InvalidArgumentError("refusing to write non-finite map data")
     h, w, c = data.shape
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIII", GMAP_MAGIC, GMAP_VERSION, w, h, c))
+        fh.write(_GMAP_HEADER.pack(GMAP_MAGIC, GMAP_VERSION, w, h, c))
         fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
 def read_gmap(path) -> AttributeMap:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 20:
-        raise TruncationError(f"{path}: header needs 20 bytes, file has {len(blob)}")
-    magic, version, w, h, c = struct.unpack_from("<4sIIII", blob)
-    if magic != GMAP_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != GMAP_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    w, h, c = _binary_header(path, blob, _GMAP_HEADER, GMAP_MAGIC, GMAP_VERSION)
     if w < 1 or h < 1 or c < 1:
         raise FormatError(f"{path}: bad dimensions {w}x{h}x{c}")
-    expect = 20 + 4 * w * h * c
-    if len(blob) < expect:
-        raise TruncationError(f"{path}: expected {expect} bytes, got {len(blob)}")
-    if len(blob) > expect:
-        raise FormatError(f"{path}: {len(blob) - expect} trailing bytes after payload")
-    data = np.frombuffer(blob, dtype="<f4", offset=20).reshape(h, w, c)
+    _check_size(path, len(blob), _GMAP_HEADER.size + 4 * w * h * c)
+    data = np.frombuffer(blob, dtype="<f4", offset=_GMAP_HEADER.size).reshape(h, w, c)
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: payload contains non-finite values")
     return AttributeMap(data=data)
@@ -374,11 +298,7 @@ def _read_pnm(path, magic: bytes, samples: int) -> np.ndarray:
     if header_parts[2] != b"255":
         raise FormatError(f"{path}: maxval must be 255, got {header_parts[2]!r}")
     payload = header_parts[3]
-    expect = w * h * samples
-    if len(payload) < expect:
-        raise TruncationError(f"{path}: expected {expect} payload bytes, got {len(payload)}")
-    if len(payload) > expect:
-        raise FormatError(f"{path}: {len(payload) - expect} trailing bytes after payload")
+    _check_size(path, len(payload), w * h * samples, "payload bytes")
     data = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
     shape = (h, w, samples) if samples > 1 else (h, w)
     return data.reshape(shape)

@@ -349,54 +349,51 @@ def _cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def _cli_chain(root, threads=1):
+def _cli_chain(root):
     cfg = root / "run.cfg"
     cfg.write_text(_CLI_CONFIG)
     synth = root / "synth"
     assert _cli("synth", "--kind", "twolink", "--out", synth, "--frames", 3,
                 "--amplitude", 0.3, "--n-motion", 60, "--n-appearance", 150,
-                "--seed", 5, "--threads", threads) == 0
+                "--seed", 5) == 0
     assert _cli("init", "--config", cfg, "--input",
                 synth / "appearance_canonical.gset",
                 "--target", synth / "frames" / "surface_0001.gset",
-                "--out", root / "init.gset", "--trace", root / "trace_init.csv",
-                "--threads", threads) == 0
+                "--out", root / "init.gset", "--trace", root / "trace_init.csv") == 0
     assert _cli("track", "--config", cfg, "--canonical",
                 synth / "motion_canonical.gset", "--targets", synth / "frames",
-                "--pattern", "target_*.gset", "--out-dir", root / "track",
-                "--threads", threads) == 0
+                "--pattern", "target_*.gset", "--out-dir", root / "track") == 0
     assert _cli("warp", "--config", cfg, "--appearance",
                 synth / "appearance_canonical.gset",
                 "--canonical", synth / "motion_canonical.gset",
                 "--deformed", root / "track" / "motion_0002.gset",
-                "--out", root / "warped.gset", "--threads", threads) == 0
+                "--out", root / "warped.gset") == 0
     assert _cli("map", "--config", cfg, "--input",
                 synth / "appearance_canonical.gset",
-                "--out", root / "mapping.txt", "--threads", threads) == 0
+                "--out", root / "mapping.txt") == 0
     assert _cli("regress", "--config", cfg, "--mapping", root / "mapping.txt",
                 "--appearance", synth / "appearance_canonical.gset",
                 "--canonical", synth / "motion_canonical.gset",
                 "--deformed", root / "track" / "motion_0002.gset",
-                "--out-dir", root / "maps", "--threads", threads) == 0
+                "--out-dir", root / "maps") == 0
     assert _cli("align", "--config", cfg, "--source",
                 synth / "appearance_canonical.gset",
                 "--source-labels", synth / "appearance_labels.csv",
                 "--driver", synth / "appearance_canonical.gset",
                 "--driver-labels", synth / "appearance_labels.csv",
                 "--out", root / "aligned.gset", "--trace",
-                root / "trace_align.csv", "--mask-resolution", 24,
-                "--threads", threads) == 0
+                root / "trace_align.csv", "--mask-resolution", 24) == 0
     assert _cli("transfer", "--config", cfg, "--aligned", root / "aligned.gset",
                 "--source-canonical", synth / "appearance_canonical.gset",
                 "--driver-canonical", synth / "motion_canonical.gset",
                 "--driver-frames", root / "track", "--pattern", "motion_*.gset",
-                "--out-dir", root / "transfer", "--threads", threads) == 0
+                "--out-dir", root / "transfer") == 0
     assert _cli("render", "--input", root / "warped.gset",
                 "--out", root / "render.ppm", "--alpha", root / "alpha.pgm",
-                "--resolution", 32, "--threads", threads) == 0
+                "--resolution", 32) == 0
     assert _cli("locality", "--config", cfg, "--input",
                 synth / "appearance_canonical.gset",
-                "--out", root / "locality.csv", "--threads", threads) == 0
+                "--out", root / "locality.csv") == 0
 
 
 def _tree_digest(root) -> dict:
@@ -412,10 +409,10 @@ def _tree_digest(root) -> dict:
 
 def test_criterion_8_cli_determinism(tmp_path):
     digests = []
-    for name, threads in (("a", 1), ("b", 1), ("c", 4)):
+    for name in ("a", "b", "c"):
         root = tmp_path / name
         root.mkdir()
-        _cli_chain(root, threads=threads)
+        _cli_chain(root)
         digests.append(_tree_digest(root))
     trees_equal = digests[0] == digests[1] == digests[2]
 
@@ -427,7 +424,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         reports.append(buf.getvalue())
     ok = trees_equal and reports[0] == reports[1]
     _report(8, "byte-identical determinism", ok,
-            f"{len(digests[0])} files identical across reruns and thread counts")
+            f"{len(digests[0])} files identical across three reruns")
 
 
 def test_criterion_9_energy_descent(rigid_run, articulated_run,

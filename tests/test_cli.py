@@ -37,57 +37,56 @@ def _run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def _build_chain(root, threads=1):
+def _build_chain(root):
     """Drive every subcommand once; returns the directory layout."""
     cfg = root / "test.cfg"
     cfg.write_text(CONFIG)
     synth = root / "synth"
     rc = _run("synth", "--kind", "twolink", "--out", synth, "--frames", 3,
               "--amplitude", 0.3, "--n-motion", 60, "--n-appearance", 150,
-              "--seed", 5, "--threads", threads)
+              "--seed", 5)
     assert rc == 0
     rc = _run("init", "--config", cfg, "--input", synth / "appearance_canonical.gset",
               "--target", synth / "frames" / "surface_0001.gset",
-              "--out", root / "init.gset", "--trace", root / "trace_init.csv",
-              "--threads", threads)
+              "--out", root / "init.gset", "--trace", root / "trace_init.csv")
     assert rc == 0
     rc = _run("track", "--config", cfg, "--canonical", synth / "motion_canonical.gset",
               "--targets", synth / "frames", "--pattern", "target_*.gset",
-              "--out-dir", root / "track", "--threads", threads)
+              "--out-dir", root / "track")
     assert rc == 0
     rc = _run("warp", "--config", cfg, "--appearance", synth / "appearance_canonical.gset",
               "--canonical", synth / "motion_canonical.gset",
               "--deformed", root / "track" / "motion_0001.gset",
-              "--out", root / "warped_0001.gset", "--threads", threads)
+              "--out", root / "warped_0001.gset")
     assert rc == 0
     rc = _run("map", "--config", cfg, "--input", synth / "appearance_canonical.gset",
-              "--out", root / "mapping.txt", "--threads", threads)
+              "--out", root / "mapping.txt")
     assert rc == 0
     rc = _run("regress", "--config", cfg, "--mapping", root / "mapping.txt",
               "--appearance", synth / "appearance_canonical.gset",
               "--canonical", synth / "motion_canonical.gset",
               "--deformed", root / "track" / "motion_0001.gset",
-              "--out-dir", root / "maps", "--threads", threads)
+              "--out-dir", root / "maps")
     assert rc == 0
     rc = _run("align", "--config", cfg, "--source", synth / "appearance_canonical.gset",
               "--source-labels", synth / "appearance_labels.csv",
               "--driver", synth / "appearance_canonical.gset",
               "--driver-labels", synth / "appearance_labels.csv",
               "--out", root / "aligned.gset", "--trace", root / "trace_align.csv",
-              "--mask-resolution", 24, "--threads", threads)
+              "--mask-resolution", 24)
     assert rc == 0
     rc = _run("transfer", "--config", cfg, "--aligned", root / "aligned.gset",
               "--source-canonical", synth / "appearance_canonical.gset",
               "--driver-canonical", synth / "motion_canonical.gset",
               "--driver-frames", root / "track", "--pattern", "motion_*.gset",
-              "--out-dir", root / "transfer", "--threads", threads)
+              "--out-dir", root / "transfer")
     assert rc == 0
     rc = _run("render", "--input", root / "warped_0001.gset",
               "--out", root / "render.ppm", "--alpha", root / "alpha.pgm",
-              "--resolution", 32, "--threads", threads)
+              "--resolution", 32)
     assert rc == 0
     rc = _run("locality", "--config", cfg, "--input", synth / "appearance_canonical.gset",
-              "--out", root / "locality.csv", "--threads", threads)
+              "--out", root / "locality.csv")
     assert rc == 0
 
 
@@ -187,7 +186,7 @@ class TestDeterminism:
         a.mkdir()
         b.mkdir()
         _build_chain(a)
-        _build_chain(b, threads=4)  # thread count must not affect results
+        _build_chain(b)
         da = _tree_digest(a)
         db = _tree_digest(b)
         assert da == db
@@ -238,16 +237,26 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1  # exactly one diagnostic line
 
-    def test_label_beyond_int64_is_runtime_error(self, tmp_path, capsys):
-        path = tmp_path / "bad.gset"
+    def test_old_text_gset_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "old.gset"
         path.write_text("GSET 1\nrole appearance\nframe 0\ncount 1\ncolor_channels 3\n"
-                        "0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 -1.0 -1.0 -1.0 0.5 0.5 0.5 0.5 "
-                        "99999999999999999999\n")
+                        "0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 -1.0 -1.0 -1.0 0.5 0.5 0.5 0.5\n")
+        rc = _run("render", "--input", path, "--out", tmp_path / "x.ppm")
+        assert rc == 1
+        _assert_one_error_line(capsys)
+        assert not (tmp_path / "x.ppm").exists()
+
+    def test_negative_label_id_is_runtime_error(self, small_scene, tmp_path, capsys):
+        blob = bytearray((small_scene / "appearance_canonical.gset").read_bytes())
+        blob[-8:] = (-1).to_bytes(8, "little", signed=True)  # the last kernel's label id
+        path = tmp_path / "bad.gset"
+        path.write_bytes(blob)
+        capsys.readouterr()
         rc = _run("render", "--input", path, "--out", tmp_path / "x.ppm")
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "out of int64 range" in err
+        assert "negative label id" in err
 
     def test_empty_target_dir_is_runtime_error(self, tmp_path, capsys):
         gset = tmp_path / "c.gset"
@@ -345,6 +354,13 @@ class TestExitCodes:
     ])
     def test_seed_where_read(self, command, required):
         assert build_parser().parse_args([command, *required, "--seed", "3"]).seed == 3
+
+    @pytest.mark.parametrize("argv", [("map", "--input", "a", "--out", "b"),
+                                      ("render", "--input", "a", "--out", "b"),
+                                      ("gradcheck",)], ids=["map", "render", "gradcheck"])
+    def test_threads_is_usage_error(self, capsys, argv):
+        assert _run(*argv, "--threads", 4) == 2
+        assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
     def test_missing_required_argument_is_usage_error(self, capsys):
         assert _run("init") == 2

@@ -87,6 +87,28 @@ class TestIso:
         )
         assert e_iso(g, 4.0).value == pytest.approx(2.0, rel=1e-12)  # 4 / N=2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_matches_scatter_add_reference(self, seed):
+        # the gradient is bitwise what np.add.at gives, also where scales tie:
+        # pairs tie (hi and lo stay apart) and triples tie (hi == lo, gradient 0)
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-3.5, 0.0, size=(200, 3))
+        s[:40, 1] = s[:40, 0]
+        s[40:80, 2] = s[40:80, 1]
+        s[80:120] = s[80:120, :1]
+        g = _rand_set(200, seed).replace(log_scales=s)
+        for limit in (0.5, 1.0, 4.0):
+            out = e_iso(g, ratio_limit=limit)
+            rows = np.arange(len(g))
+            hi, lo = np.argmax(s, axis=1), np.argmin(s, axis=1)
+            ratio = np.exp(s[rows, hi] - s[rows, lo])
+            coeff = np.where(ratio > limit, ratio, 0.0) / len(g)
+            want = np.zeros_like(s)
+            np.add.at(want, (rows, hi), coeff)
+            np.add.at(want, (rows, lo), -coeff)
+            assert out.grad_s.tobytes() == want.tobytes()
+            assert np.all(out.grad_s[80:120] == 0.0)
+
 
 class TestSize:
     def test_hand_value_with_frozen_mean(self):

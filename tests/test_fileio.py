@@ -4,10 +4,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splatkin import fileio
 from splatkin.core import GaussianSet, Role, quat_normalize
 from splatkin.errors import FormatError, InvalidArgumentError, TruncationError
 from splatkin.fileio import (
@@ -51,6 +50,37 @@ def _random_set(rng, n=5, channels=3, labels=False, role=Role.APPEARANCE):
     )
 
 
+GSET_HEADER = "<4sIIIIqQ"
+GSET_HEADER_BYTES = struct.calcsize(GSET_HEADER)
+
+
+def _written(tmp_path, gset, name="s.gset"):
+    """Write ``gset``; returns its path and its bytes, ready to corrupt."""
+    path = tmp_path / name
+    write_gset(path, gset)
+    return path, bytearray(path.read_bytes())
+
+
+def _field_offset(gset, field, row=0):
+    """Byte offset of ``row`` of ``field`` in the binary layout of ``gset``."""
+    n, widths = len(gset), {"positions": 3, "rotations": 4, "log_scales": 3,
+                            "opacities": 1, "colors": gset.color_channels, "labels": 1}
+    offset = GSET_HEADER_BYTES
+    for name, width in widths.items():
+        if name == field:
+            return offset + 8 * width * row
+        offset += 8 * width * n
+    raise KeyError(field)
+
+
+def _with_header(blob, **fields):
+    """``blob`` with some header fields replaced (names as in the layout)."""
+    names = ("magic", "version", "role", "channels", "labelled", "frame", "count")
+    values = dict(zip(names, struct.unpack_from(GSET_HEADER, blob)))
+    values.update(fields)
+    return struct.pack(GSET_HEADER, *(values[k] for k in names)) + bytes(blob[GSET_HEADER_BYTES:])
+
+
 class TestKernelSetFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         gset = _random_set(np.random.default_rng(0), n=7)
@@ -75,10 +105,14 @@ class TestKernelSetFiles:
         assert back.label_names == ("left", "right")
 
     @given(value=finite)
+    @example(value=-0.0)
+    @example(value=5e-324)
+    @example(value=-2.2250738585072009e-308)
+    @example(value=1.7976931348623157e308)
     @settings(max_examples=60, deadline=None)
     def test_any_finite_float_survives(self, tmp_path_factory, value):
-        # repr-formatted floats must parse back to the identical bits,
-        # including subnormals and near-overflow magnitudes
+        # every finite float keeps its bits, including subnormals, -0.0 and
+        # near-overflow magnitudes
         tmp = tmp_path_factory.mktemp("gs")
         gset = GaussianSet(
             positions=np.full((1, 3), value),
@@ -91,179 +125,214 @@ class TestKernelSetFiles:
         path = tmp / "v.gset"
         write_gset(path, gset)
         back = read_gset(path)
-        assert np.array_equal(back.positions, gset.positions)
-        assert np.array_equal(back.log_scales, gset.log_scales)
+        for field in ("positions", "log_scales", "colors"):
+            assert getattr(back, field).tobytes() == getattr(gset, field).tobytes()
 
     def test_motion_role_round_trip(self, tmp_path):
         gset = _random_set(np.random.default_rng(2), role=Role.MOTION)
         write_gset(tmp_path / "m.gset", gset)
         assert read_gset(tmp_path / "m.gset").role is Role.MOTION
 
-    def test_trailing_newlines_tolerated(self, tmp_path):
-        gset = _random_set(np.random.default_rng(3), n=2)
-        path = tmp_path / "c.gset"
-        write_gset(path, gset)
-        with open(path, "a") as fh:
-            fh.write("\n\n")
-        assert len(read_gset(path)) == 2
+    @pytest.mark.parametrize("role", list(Role))
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_every_field_round_trips_bitwise(self, tmp_path, role, labels):
+        # large enough that NumPy sums the arrays in several chunks: the fields
+        # read back must also sum to the same bits as the arrays they came from
+        gset = _random_set(np.random.default_rng(3), n=4000, channels=2,
+                           labels=labels, role=role)
+        back = read_gset(_written(tmp_path, gset)[0])
+        for field in ("positions", "rotations", "log_scales", "opacities", "colors", "labels"):
+            got, want = getattr(back, field), getattr(gset, field)
+            if want is None:
+                assert got is None
+                continue
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and got.flags.aligned and not got.flags.writeable
+            assert got.sum() == want.sum()
+        assert (back.role, back.frame) == (role, 4)
 
-    def test_interior_blank_line_rejected(self, tmp_path):
-        gset = _random_set(np.random.default_rng(4), n=3)
-        path = tmp_path / "d.gset"
-        write_gset(path, gset)
-        lines = path.read_text().splitlines()
-        lines.insert(6, "")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="blank line"):
-            read_gset(path)
+    def test_header_layout(self, tmp_path):
+        gset = _random_set(np.random.default_rng(4), n=3, channels=2, labels=True)
+        blob = _written(tmp_path, gset)[1]
+        assert struct.unpack_from(GSET_HEADER, blob) == (b"GSET", 1, 1, 2, 1, 4, 3)
+        assert len(blob) == 36 + 8 * 3 * (3 + 4 + 3 + 1 + 2) + 8 * 3
+        offset = _field_offset(gset, "colors", row=1)
+        assert struct.unpack_from("<2d", blob, offset) == tuple(gset.colors[1])
+        assert struct.unpack_from("<3q", blob, _field_offset(gset, "labels")) == tuple(gset.labels)
+
+    def test_same_set_writes_identical_bytes(self, tmp_path):
+        gset = _random_set(np.random.default_rng(5), n=9, labels=True)
+        assert _written(tmp_path, gset, "a.gset")[1] == _written(tmp_path, gset, "b.gset")[1]
 
     def test_truncated_records(self, tmp_path):
         gset = _random_set(np.random.default_rng(5), n=4)
-        path = tmp_path / "e.gset"
-        write_gset(path, gset)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(TruncationError, match="expected 4 records"):
+        path, blob = _written(tmp_path, gset, "e.gset")
+        path.write_bytes(blob[:-8 * 14])  # one record's worth of bytes short
+        with pytest.raises(TruncationError, match=r"e\.gset: expected \d+ bytes"):
             read_gset(path)
+
+    def test_every_truncation_length(self, tmp_path):
+        gset = _random_set(np.random.default_rng(20), n=2, channels=1, labels=True)
+        path, blob = _written(tmp_path, gset, "cut.gset")
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            with pytest.raises(TruncationError, match=r"cut\.gset: "):
+                read_gset(path)
 
     def test_extra_record_rejected(self, tmp_path):
         gset = _random_set(np.random.default_rng(6), n=3)
-        path = tmp_path / "f.gset"
-        write_gset(path, gset)
-        lines = path.read_text().splitlines()
-        extra = lines[-1].split()
-        extra[0] = "3"
-        path.write_text("\n".join(lines + [" ".join(extra)]) + "\n")
-        with pytest.raises(FormatError, match="trailing content"):
+        path, blob = _written(tmp_path, gset, "f.gset")
+        path.write_bytes(blob + blob[-8 * 14:])
+        with pytest.raises(FormatError, match=r"f\.gset: 112 trailing bytes"):
             read_gset(path)
 
-    def test_out_of_order_index(self, tmp_path):
-        gset = _random_set(np.random.default_rng(7), n=3)
-        path = tmp_path / "g.gset"
-        write_gset(path, gset)
-        lines = path.read_text().splitlines()
-        lines[6], lines[7] = lines[7], lines[6]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="out of order"):
-            read_gset(path)
-
-    def test_bad_float_token(self, tmp_path):
-        gset = _random_set(np.random.default_rng(8), n=2)
-        path = tmp_path / "h.gset"
-        write_gset(path, gset)
-        text = path.read_text().splitlines()
-        tok = text[5].split()
-        tok[2] = "bogus"
-        text[5] = " ".join(tok)
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(FormatError, match="bad float"):
+    def test_one_trailing_byte(self, tmp_path):
+        gset = _random_set(np.random.default_rng(21), n=3, labels=True)
+        path, blob = _written(tmp_path, gset, "t.gset")
+        path.write_bytes(blob + b"\n")
+        with pytest.raises(FormatError, match=r"t\.gset: 1 trailing bytes"):
             read_gset(path)
 
     def test_nan_token_rejected(self, tmp_path):
         gset = _random_set(np.random.default_rng(9), n=2)
-        path = tmp_path / "i.gset"
-        write_gset(path, gset)
-        text = path.read_text().splitlines()
-        tok = text[5].split()
-        tok[1] = "nan"
-        text[5] = " ".join(tok)
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(FormatError, match="non-finite"):
+        path, blob = _written(tmp_path, gset, "i.gset")
+        struct.pack_into("<d", blob, _field_offset(gset, "log_scales", row=1), float("nan"))
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"i\.gset: log_scales contains non-finite"):
             read_gset(path)
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "j.gset"
-        path.write_text("GSET 2\nrole motion\n")
-        with pytest.raises(FormatError, match="GSET 1"):
+        path, blob = _written(tmp_path, _random_set(np.random.default_rng(22)), "j.gset")
+        path.write_bytes(_with_header(blob, magic=b"GMAP"))
+        with pytest.raises(FormatError, match=r"j\.gset: bad magic b'GMAP'"):
             read_gset(path)
 
     def test_unknown_role(self, tmp_path):
         gset = _random_set(np.random.default_rng(10), n=2)
-        path = tmp_path / "k.gset"
-        write_gset(path, gset)
-        text = path.read_text().replace("role appearance", "role banana")
-        path.write_text(text)
-        with pytest.raises(FormatError, match="unknown role"):
+        path, blob = _written(tmp_path, gset, "k.gset")
+        path.write_bytes(_with_header(blob, role=2))
+        with pytest.raises(FormatError, match=r"k\.gset: unknown role code 2"):
+            read_gset(path)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("version", 2, "unsupported version 2"),
+        ("version", 0, "unsupported version 0"),
+        ("labelled", 2, "labelled flag must be 0 or 1, got 2"),
+        ("labelled", 2**32 - 1, "labelled flag must be 0 or 1"),
+        ("frame", -1, "frame -1"),
+        ("count", 0, "count 0"),
+        ("channels", 0, "0 color channels"),
+    ], ids=["version-2", "version-0", "labelled-2", "labelled-max", "frame-negative",
+            "count-0", "channels-0"])
+    def test_bad_header_field(self, tmp_path, field, value, message):
+        gset = _random_set(np.random.default_rng(23), n=2, labels=True)
+        path, blob = _written(tmp_path, gset, "h.gset")
+        path.write_bytes(_with_header(blob, **{field: value}))
+        with pytest.raises(FormatError, match=rf"h\.gset: .*{message}") as info:
+            read_gset(path)
+        assert type(info.value) is FormatError
+
+    @pytest.mark.parametrize("count", [3, 2**60, 2**64 - 1])
+    def test_count_beyond_byte_length_is_truncation(self, tmp_path, count):
+        # the length is checked before any array is built, so no count
+        # reaches an allocation
+        gset = _random_set(np.random.default_rng(24), n=2)
+        path, blob = _written(tmp_path, gset, "big.gset")
+        path.write_bytes(_with_header(blob, count=count))
+        with pytest.raises(TruncationError, match=r"big\.gset: expected \d+ bytes"):
+            read_gset(path)
+
+    @pytest.mark.parametrize("channels", [4, 2**32 - 1])
+    def test_channels_beyond_byte_length_is_truncation(self, tmp_path, channels):
+        gset = _random_set(np.random.default_rng(25), n=2)
+        path, blob = _written(tmp_path, gset, "wide.gset")
+        path.write_bytes(_with_header(blob, channels=channels))
+        with pytest.raises(TruncationError, match=r"wide\.gset: expected"):
             read_gset(path)
 
     def test_missing_header_line(self, tmp_path):
         path = tmp_path / "l.gset"
-        path.write_text("GSET 1\nrole motion\n")
-        with pytest.raises(TruncationError, match="missing header"):
+        path.write_bytes(struct.pack("<4sII", b"GSET", 1, 0))
+        with pytest.raises(TruncationError, match=r"l\.gset: header needs 36 bytes, file has 12"):
+            read_gset(path)
+
+    def test_old_text_layout_rejected(self, tmp_path):
+        path = tmp_path / "old.gset"
+        path.write_text("GSET 1\nrole appearance\nframe 0\ncount 1\ncolor_channels 3\n"
+                        "0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 -1.0 -1.0 -1.0 0.5 0.5 0.5 0.5\n")
+        with pytest.raises(FormatError, match=r"old\.gset: unsupported version"):
             read_gset(path)
 
     def test_label_column_all_or_none(self, tmp_path):
-        gset = _random_set(np.random.default_rng(11), n=3, labels=True)
-        path = tmp_path / "m.gset"
-        write_gset(path, gset)
-        lines = path.read_text().splitlines()
-        lines[6] = " ".join(lines[6].split()[:-1])  # drop one label token
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="fields"):
+        # the labelled flag decides whether a labels block follows
+        plain = _random_set(np.random.default_rng(11), n=3)
+        path, blob = _written(tmp_path, plain, "m.gset")
+        path.write_bytes(_with_header(blob, labelled=1))
+        with pytest.raises(TruncationError, match=r"m\.gset: expected"):
+            read_gset(path)
+        labelled = _random_set(np.random.default_rng(11), n=3, labels=True)
+        path, blob = _written(tmp_path, labelled, "m.gset")
+        path.write_bytes(_with_header(blob, labelled=0))
+        with pytest.raises(FormatError, match=r"m\.gset: 24 trailing bytes"):
             read_gset(path)
 
     def test_invalid_quaternion_reported_with_path(self, tmp_path):
         gset = _random_set(np.random.default_rng(12), n=2)
-        path = tmp_path / "n.gset"
-        write_gset(path, gset)
-        lines = path.read_text().splitlines()
-        tok = lines[5].split()
-        tok[4:8] = ["0.0", "0.0", "0.0", "0.0"]  # zero-norm rotation
-        lines[5] = " ".join(tok)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError):
+        path, blob = _written(tmp_path, gset, "n.gset")
+        struct.pack_into("<4d", blob, _field_offset(gset, "rotations", row=1), 0.0, 0.0, 0.0, 0.0)
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"n\.gset: rotations contain a \(near\) zero-norm"):
             read_gset(path)
 
-    def test_records_span_several_chunks(self, tmp_path, monkeypatch):
-        gset = _random_set(np.random.default_rng(16), n=11, labels=True)
-        write_gset(tmp_path / "whole.gset", gset)
-        monkeypatch.setattr(fileio, "_CHUNK_RECORDS", 4)
-        path = tmp_path / "chunked.gset"
-        write_gset(path, gset)
-        assert path.read_bytes() == (tmp_path / "whole.gset").read_bytes()
-        back = read_gset(path, label_names=("left", "right"))
-        assert np.array_equal(back.colors, gset.colors)
-        assert np.array_equal(back.labels, gset.labels)
-        lines = path.read_text().splitlines()
-        tok = lines[14].split()  # record 9, in the third chunk
-        tok[3] = "bogus"
-        lines[14] = " ".join(tok)
-        tok = lines[15].split()
-        tok[-1] = "-1"
-        lines[15] = " ".join(tok)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=r"chunked\.gset:15: bad float 'bogus'"):
-            read_gset(path)
-
-    @pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999"])
-    def test_label_beyond_int64(self, tmp_path, label):
+    @pytest.mark.parametrize("label", [-1, -2**63])
+    def test_negative_label_id(self, tmp_path, label):
         gset = _random_set(np.random.default_rng(17), n=3, labels=True)
-        path = tmp_path / "p.gset"
-        write_gset(path, gset)
-        lines = path.read_text().splitlines()
-        lines[7] = " ".join([*lines[7].split()[:-1], label])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=r"p\.gset:8: integer .* out of int64 range"):
-            read_gset(path, label_names=("left", "right"))
+        path, blob = _written(tmp_path, gset, "p.gset")
+        struct.pack_into("<q", blob, _field_offset(gset, "labels", row=2), label)
+        path.write_bytes(blob)
+        for names in (None, ("left", "right")):
+            with pytest.raises(FormatError, match=r"p\.gset: negative label id"):
+                read_gset(path, label_names=names)
 
     def test_label_id_beyond_names(self, tmp_path):
         gset = _random_set(np.random.default_rng(19), n=3, labels=True)
-        path = tmp_path / "p.gset"
-        write_gset(path, gset)
-        lines = path.read_text().splitlines()
-        lines[7] = " ".join([*lines[7].split()[:-1], "2"])
-        path.write_text("\n".join(lines) + "\n")
+        path, blob = _written(tmp_path, gset, "p.gset")
+        struct.pack_into("<q", blob, _field_offset(gset, "labels", row=2), 2)
+        path.write_bytes(blob)
         assert read_gset(path).labels[2] == 2  # no names: ids are kept as read
         with pytest.raises(FormatError, match=r"p\.gset: label ids must lie in \[0, 2\)"):
             read_gset(path, label_names=("left", "right"))
 
     def test_frame_beyond_int64(self, tmp_path):
+        # a frame field with the top bit set is a negative int64
         gset = _random_set(np.random.default_rng(18), n=2)
-        path = tmp_path / "q.gset"
-        write_gset(path, gset)
-        path.write_text(path.read_text().replace("frame 4", "frame 9223372036854775808"))
-        with pytest.raises(FormatError, match=r"q\.gset:3: integer .* out of int64 range"):
+        path, blob = _written(tmp_path, gset, "q.gset")
+        struct.pack_into("<Q", blob, 20, 2**63)
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"q\.gset: bad header: frame -9223372036854775808"):
             read_gset(path)
+
+    def test_random_corruption(self, tmp_path):
+        # flip 1-3 random bytes anywhere: the reader either refuses the file
+        # with a format error or reads exactly what the bytes say
+        gset = _random_set(np.random.default_rng(26), n=3, channels=2, labels=True)
+        path, blob = _written(tmp_path, gset, "x.gset")
+        rng = np.random.default_rng(27)
+        outcomes = {"refused": 0, "read": 0}
+        for _ in range(400):
+            bad = bytearray(blob)
+            for at in rng.integers(0, len(blob), size=rng.integers(1, 4)):
+                bad[at] ^= int(rng.integers(1, 256))
+            path.write_bytes(bad)
+            try:
+                back = read_gset(path, label_names=("left", "right"))
+            except FormatError:
+                outcomes["refused"] += 1
+                continue
+            outcomes["read"] += 1
+            write_gset(tmp_path / "again.gset", back)
+            assert (tmp_path / "again.gset").read_bytes() == bytes(bad)
+        assert min(outcomes.values()) > 0, outcomes
 
     def test_refuses_to_write_non_finite(self, tmp_path):
         gset = _random_set(np.random.default_rng(13), n=2)
@@ -271,6 +340,21 @@ class TestKernelSetFiles:
         bad[0, 0] = np.inf
         with pytest.raises(InvalidArgumentError, match="non-finite"):
             write_gset(tmp_path / "o.gset", gset.replace(positions=bad))
+        assert not (tmp_path / "o.gset").exists()
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"frame": -1}, "frame -1"),
+        ({"frame": 2**63}, "frame 9223372036854775808"),
+        ({"colors": np.zeros((2, 0))}, "0 color channels"),
+        ({"positions": np.zeros((0, 3)), "rotations": np.zeros((0, 4)),
+          "log_scales": np.zeros((0, 3)), "opacities": np.zeros(0), "colors": np.zeros((0, 3))},
+         "count 0"),
+    ], ids=["frame-negative", "frame-beyond-int64", "no-channels", "empty"])
+    def test_refuses_to_write_what_the_reader_refuses(self, tmp_path, fields, message):
+        gset = _random_set(np.random.default_rng(13), n=2).replace(**fields)
+        with pytest.raises(InvalidArgumentError, match=message):
+            write_gset(tmp_path / "o.gset", gset)
+        assert not (tmp_path / "o.gset").exists()
 
 
 class TestLabelFiles:
