@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Thin wrappers over the library: every subcommand reads and writes the
-formats of ``fileio`` (binary kernel sets and attribute maps; text configs,
-labels, mappings and traces) and delegates the actual work. All work runs on
+formats of ``fileio`` (binary kernel sets, attribute maps and mappings; text
+configs, labels and traces) and delegates the actual work. All work runs on
 one thread. Exit codes: 0 success, 1 runtime failure (one line on stderr),
 2 usage error.
 """

@@ -89,9 +89,12 @@ class GaussianSet:
             raise InvalidArgumentError(f"colors must be (N,C), got {self.colors.shape}")
         if np.any(self.opacities < 0.0) or np.any(self.opacities > 1.0):
             raise InvalidArgumentError("opacities must lie in [0, 1]")
-        norms = np.linalg.norm(self.rotations, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.rotations, axis=1)
         if n and norms.min() <= DEGENERATE_NORM:
             raise InvalidArgumentError("rotations contain a (near) zero-norm quaternion")
+        if n and not np.isfinite(norms.max()):
+            raise InvalidArgumentError("rotations contain a quaternion whose norm overflows")
         if not isinstance(self.role, Role):
             raise InvalidArgumentError(f"role must be a Role, got {self.role!r}")
         if self.labels is not None:

@@ -1,11 +1,12 @@
 """On-disk formats: kernel sets, attribute maps, labels, images, configs.
 
-Kernel sets and attribute maps are little-endian binary: a fixed header, then
-raw blocks read back as views at fixed offsets. Labels, mappings, configs and
-traces are text. Everything here is deliberately strict — truncated payloads,
-trailing bytes, unknown keys, stray tokens, or non-finite numbers are errors,
-never warnings. Kernel sets round-trip bit-exactly, and so do the floats of
-traces, which are written with ``repr``.
+Kernel sets, attribute maps and kernel-to-pixel mappings are little-endian
+binary: a fixed header, then raw blocks read back as views at fixed offsets.
+Labels, configs and traces are UTF-8 text. Everything here is deliberately
+strict — truncated payloads, trailing bytes, unknown keys, stray tokens, or
+non-finite numbers are errors, never warnings. Kernel sets and mappings
+round-trip bit-exactly, and so do the floats of traces, which are written with
+``repr``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,15 @@ GSET_MAGIC = b"GSET"
 GSET_VERSION = 1
 GMAP_MAGIC = b"GMAP"
 GMAP_VERSION = 1
+MAPPING_MAGIC = b"GUVM"
+MAPPING_VERSION = 1
 # magic, version, role code, color channels, labelled flag, frame, count
 _GSET_HEADER = struct.Struct("<4sIIIIqQ")
 # magic, version, width, height, channels
 _GMAP_HEADER = struct.Struct("<4sIIII")
+# magic, version, width, height, count
+_MAPPING_HEADER = struct.Struct("<4sIIIQ")
+_UINT32_MAX, _INT64_MAX = 2**32 - 1, 2**63 - 1
 
 
 def _fmt(x: float) -> str:
@@ -53,19 +59,26 @@ def _parse_int(token: str, where: str) -> int:
         raise FormatError(f"{where}: bad integer {token!r}") from None
 
 
-_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+def _read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; any other bytes are a format error."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _parse_int64(token: str, where: str) -> int:
-    """An integer field stored as int64 (mapping files)."""
-    value = _parse_int(token, where)
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise FormatError(f"{where}: integer {token!r} out of int64 range")
-    return value
+def _read_binary(path, layout: struct.Struct, magic: bytes, version: int):
+    """The bytes of ``path`` and its header fields after magic and version, which must match.
 
-
-def _binary_header(path, blob, layout: struct.Struct, magic: bytes, version: int) -> list:
-    """The header fields of ``blob`` after its magic and version, which must match."""
+    The bytes sit in a fresh NumPy buffer, offset so that the blocks after the
+    header lie on 8-byte boundaries: NumPy sums misaligned arrays with other rounding.
+    """
+    pad = -layout.size % 8
+    with open(path, "rb") as fh:
+        buf = np.empty(os.fstat(fh.fileno()).st_size + pad, dtype=np.uint8)
+        blob = buf[pad:pad + fh.readinto(memoryview(buf)[pad:])]
     if len(blob) < layout.size:
         raise TruncationError(f"{path}: header needs {layout.size} bytes, file has {len(blob)}")
     found_magic, found_version, *fields = layout.unpack_from(blob)
@@ -73,7 +86,7 @@ def _binary_header(path, blob, layout: struct.Struct, magic: bytes, version: int
         raise FormatError(f"{path}: bad magic {found_magic!r}")
     if found_version != version:
         raise FormatError(f"{path}: unsupported version {found_version}")
-    return fields
+    return blob, fields
 
 
 def _check_size(path, size: int, expect: int, unit: str = "bytes") -> None:
@@ -109,13 +122,8 @@ def write_gset(path, gset: GaussianSet) -> None:
 
 
 def read_gset(path, label_names: tuple[str, ...] | None = None) -> GaussianSet:
-    with open(path, "rb") as fh:
-        # the file starts 4 bytes into the buffer, so the blocks after the 36-byte header
-        # lie on 8-byte boundaries: NumPy sums misaligned arrays with other rounding
-        buf = np.empty(os.fstat(fh.fileno()).st_size + 4, dtype=np.uint8)
-        blob = buf[4:4 + fh.readinto(memoryview(buf)[4:])]
-    role, channels, labelled, frame, count = _binary_header(path, blob, _GSET_HEADER,
-                                                            GSET_MAGIC, GSET_VERSION)
+    blob, (role, channels, labelled, frame, count) = _read_binary(path, _GSET_HEADER,
+                                                                  GSET_MAGIC, GSET_VERSION)
     if role >= len(_GSET_ROLES):
         raise FormatError(f"{path}: unknown role code {role}")
     if labelled > 1:
@@ -157,8 +165,7 @@ def write_labels(path, names: list[str]) -> None:
 
 
 def read_labels(path) -> list[str]:
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text_lines(path)
     if not lines or lines[0] != "index,label":
         raise FormatError(f"{path}:1: expected 'index,label' header")
     names = []
@@ -188,7 +195,7 @@ def attach_labels(gset: GaussianSet, names: list[str]) -> GaussianSet:
 
 
 # ---------------------------------------------------------------------------
-# attribute maps (binary) and kernel-to-pixel mappings (text)
+# attribute maps and kernel-to-pixel mappings (binary)
 
 
 def write_gmap(path, amap: AttributeMap) -> None:
@@ -203,9 +210,7 @@ def write_gmap(path, amap: AttributeMap) -> None:
 
 
 def read_gmap(path) -> AttributeMap:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    w, h, c = _binary_header(path, blob, _GMAP_HEADER, GMAP_MAGIC, GMAP_VERSION)
+    blob, (w, h, c) = _read_binary(path, _GMAP_HEADER, GMAP_MAGIC, GMAP_VERSION)
     if w < 1 or h < 1 or c < 1:
         raise FormatError(f"{path}: bad dimensions {w}x{h}x{c}")
     _check_size(path, len(blob), _GMAP_HEADER.size + 4 * w * h * c)
@@ -216,33 +221,27 @@ def read_gmap(path) -> AttributeMap:
 
 
 def write_mapping(path, mapping: MortonMapping) -> None:
-    """``index u v`` per kernel (u = column, v = row)."""
-    with open(path, "w") as fh:
-        for i, (u, v) in enumerate(mapping.uv):
-            fh.write(f"{i} {u} {v}\n")
+    """The header, then an int64 block of (u, v) = (column, row) per kernel."""
+    w, h = mapping.resolution
+    if len(mapping) < 1 or w > _UINT32_MAX or h > _UINT32_MAX:
+        raise InvalidArgumentError(f"refusing to write a {w}x{h} mapping of {len(mapping)} kernels")
+    with open(path, "wb") as fh:
+        fh.write(_MAPPING_HEADER.pack(MAPPING_MAGIC, MAPPING_VERSION, w, h, len(mapping)))
+        fh.write(mapping.uv.astype("<i8", copy=False).tobytes())
 
 
 def read_mapping(path, resolution: tuple[int, int]) -> MortonMapping:
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError(f"{path}: empty mapping")
-    uv = np.empty((len(lines), 2), dtype=np.int64)
-    for i, line in enumerate(lines):
-        where = f"{path}:{i + 1}"
-        if not line.strip():
-            raise FormatError(f"{where}: blank line inside the record block")
-        tok = line.split()
-        if len(tok) != 3:
-            raise FormatError(f"{where}: expected 'index u v'")
-        if _parse_int(tok[0], where) != i:
-            raise FormatError(f"{where}: index {tok[0]} out of order (expected {i})")
-        uv[i, 0] = _parse_int64(tok[1], where)
-        uv[i, 1] = _parse_int64(tok[2], where)
+    """The mapping in ``path``, which must have been built for ``resolution`` (W, H)."""
+    blob, (w, h, count) = _read_binary(path, _MAPPING_HEADER, MAPPING_MAGIC, MAPPING_VERSION)
+    if w < 1 or h < 1 or count < 1:
+        raise FormatError(f"{path}: bad header: {w}x{h} map, count {count}")
+    _check_size(path, len(blob), _MAPPING_HEADER.size + 16 * count)
+    if (w, h) != tuple(resolution):
+        raise FormatError(f"{path}: mapping is for a {w}x{h} map, "
+                          f"expected {resolution[0]}x{resolution[1]}")
+    uv = np.frombuffer(blob, "<i8", 2 * count, _MAPPING_HEADER.size).reshape(count, 2)
     try:
-        return MortonMapping(resolution=resolution, uv=uv, valid_count=len(uv))
+        return MortonMapping(resolution=(w, h), uv=uv)
     except InvalidArgumentError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -345,9 +344,7 @@ CONFIG_KEYS = frozenset(_INT_KEYS) | frozenset(_FLOAT_KEYS)
 def read_config(path) -> dict:
     """Strict ``key=value`` pairs from the closed key set; '#' lines are comments."""
     out: dict = {}
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_text_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -393,8 +390,7 @@ def write_trace(path, trace) -> None:
 
 def read_trace(path) -> tuple[tuple[str, ...], list[tuple]]:
     """Returns (columns, rows); rows hold (int iteration, float values...)."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text_lines(path)
     if not lines:
         raise FormatError(f"{path}: empty trace")
     columns = tuple(lines[0].split(","))

@@ -135,7 +135,6 @@ class MortonMapping:
 
     resolution: tuple[int, int]  # (W, H)
     uv: np.ndarray  # (N,2) int64
-    valid_count: int
     clamp_count: int = 0
 
     def __post_init__(self):
@@ -143,8 +142,6 @@ class MortonMapping:
         self.uv = _frozen(self.uv, "uv", np.int64)
         if self.uv.ndim != 2 or self.uv.shape[1] != 2:
             raise InvalidArgumentError(f"uv must be (N,2), got {self.uv.shape}")
-        if self.uv.shape[0] != self.valid_count:
-            raise InvalidArgumentError("valid_count must equal the number of uv rows")
         if w < 1 or h < 1:
             raise InvalidArgumentError("resolution must be positive")
         if self.uv.size:
@@ -155,13 +152,13 @@ class MortonMapping:
                 raise InvalidArgumentError("uv assignment is not injective")
 
     def __len__(self) -> int:
-        return self.valid_count
+        return self.uv.shape[0]
 
     def pixel_to_kernel(self) -> np.ndarray:
         """(H,W) int64 grid of kernel indices, -1 on invalid pixels."""
         w, h = self.resolution
         grid = np.full((h, w), -1, dtype=np.int64)
-        grid[self.uv[:, 1], self.uv[:, 0]] = np.arange(self.valid_count)
+        grid[self.uv[:, 1], self.uv[:, 0]] = np.arange(len(self))
         return grid
 
 
@@ -192,7 +189,7 @@ def _mapping_from_order(order: np.ndarray, resolution: tuple[int, int],
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(n)
     uv = np.stack([ranks % w, ranks // w], axis=1)
-    return MortonMapping(resolution=(w, h), uv=uv, valid_count=n, clamp_count=clamp_count)
+    return MortonMapping(resolution=(w, h), uv=uv, clamp_count=clamp_count)
 
 
 def build_mapping(positions, resolution: tuple[int, int] = (512, 512), bits: int = 10) -> MortonMapping:
@@ -246,9 +243,9 @@ def pack_map(mapping: MortonMapping, values, name: str = "values") -> AttributeM
     values = _frozen(values, name)
     if values.ndim != 2:
         raise InvalidArgumentError(f"{name} must be (N,C), got {values.shape}")
-    if values.shape[0] != mapping.valid_count:
+    if values.shape[0] != len(mapping):
         raise InvalidArgumentError(
-            f"{name} count {values.shape[0]} does not match mapping size {mapping.valid_count}"
+            f"{name} count {values.shape[0]} does not match mapping size {len(mapping)}"
         )
     with np.errstate(over="ignore"):
         packed = values.astype(np.float32)
@@ -273,9 +270,9 @@ def locality_score(mapping: MortonMapping, positions) -> float:
     """Mean 3D distance between each kernel and the kernels on its 4-connected
     UV neighbor pixels (invalid pixels contribute nothing)."""
     positions = _frozen(positions, "positions")
-    if positions.shape[0] != mapping.valid_count:
+    if positions.shape[0] != len(mapping):
         raise InvalidArgumentError("positions must match mapping size")
-    if mapping.valid_count < 2:
+    if len(mapping) < 2:
         raise InvalidArgumentError("locality score needs at least two kernels")
     grid = mapping.pixel_to_kernel()
     total = 0.0

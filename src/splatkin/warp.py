@@ -114,9 +114,9 @@ def disassemble(gset: GaussianSet, mapping: MortonMapping) -> dict[str, Attribut
     Channels: position 3, rotation 4, shape 4 (three log-scales + opacity),
     color C. Values are stored float32 (map-exchange precision).
     """
-    if len(gset) != mapping.valid_count:
+    if len(gset) != len(mapping):
         raise InvalidArgumentError(
-            f"set size {len(gset)} does not match mapping {mapping.valid_count}"
+            f"set size {len(gset)} does not match mapping {len(mapping)}"
         )
     shape_vals = np.concatenate([gset.log_scales, gset.opacities[:, None]], axis=1)
     return {

@@ -370,8 +370,8 @@ def _cli_chain(root):
                 "--out", root / "warped.gset") == 0
     assert _cli("map", "--config", cfg, "--input",
                 synth / "appearance_canonical.gset",
-                "--out", root / "mapping.txt") == 0
-    assert _cli("regress", "--config", cfg, "--mapping", root / "mapping.txt",
+                "--out", root / "mapping.uvm") == 0
+    assert _cli("regress", "--config", cfg, "--mapping", root / "mapping.uvm",
                 "--appearance", synth / "appearance_canonical.gset",
                 "--canonical", synth / "motion_canonical.gset",
                 "--deformed", root / "track" / "motion_0002.gset",

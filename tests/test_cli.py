@@ -60,9 +60,9 @@ def _build_chain(root):
               "--out", root / "warped_0001.gset")
     assert rc == 0
     rc = _run("map", "--config", cfg, "--input", synth / "appearance_canonical.gset",
-              "--out", root / "mapping.txt")
+              "--out", root / "mapping.uvm")
     assert rc == 0
-    rc = _run("regress", "--config", cfg, "--mapping", root / "mapping.txt",
+    rc = _run("regress", "--config", cfg, "--mapping", root / "mapping.uvm",
               "--appearance", synth / "appearance_canonical.gset",
               "--canonical", synth / "motion_canonical.gset",
               "--deformed", root / "track" / "motion_0001.gset",
@@ -148,7 +148,7 @@ class TestChainOutputs:
         assert warped.frame == 1
 
     def test_mapping_covers_every_kernel(self, chain):
-        mapping = read_mapping(chain / "mapping.txt", resolution=(16, 16))
+        mapping = read_mapping(chain / "mapping.uvm", resolution=(16, 16))
         assert len(mapping) == 150
 
     def test_regress_writes_four_maps(self, chain):
@@ -229,6 +229,23 @@ def _assert_one_error_line(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _regress_args(scene, mapping, config, out_dir):
+    return ("regress", "--config", config, "--mapping", mapping,
+            "--appearance", scene / "appearance_canonical.gset",
+            "--canonical", scene / "motion_canonical.gset",
+            "--deformed", scene / "truth" / "motion_0001.gset", "--out-dir", out_dir)
+
+
+def _map_16(scene, tmp_path):
+    """Map the small scene's appearance set at 16x16; returns the mapping path."""
+    cfg = tmp_path / "map16.cfg"
+    cfg.write_text("map_width=16\nmap_height=16\n")
+    mapping = tmp_path / "mapping.uvm"
+    assert _run("map", "--config", cfg, "--input", scene / "appearance_canonical.gset",
+                "--out", mapping) == 0
+    return mapping
+
+
 class TestExitCodes:
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         rc = _run("render", "--input", tmp_path / "nope.gset", "--out", tmp_path / "x.ppm")
@@ -274,7 +291,7 @@ class TestExitCodes:
         cfg.write_text("warp_speed=9\n")
         # config parsing happens before any input is opened
         rc = _run("map", "--config", cfg, "--input", tmp_path / "absent.gset",
-                  "--out", tmp_path / "m.txt")
+                  "--out", tmp_path / "m.uvm")
         assert rc == 1
         assert "unknown key" in capsys.readouterr().err
 
@@ -288,6 +305,64 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unknown key 'lr_opacity'" in err
+
+    @pytest.mark.parametrize("config,expected", [
+        ("map_width=32\nmap_height=32\n", "32x32"),
+        ("map_width=16\n", "16x512"),
+        ("", "512x512"),  # the default map size
+    ], ids=["32x32", "16x512", "default"])
+    def test_mapping_resolution_mismatch_is_runtime_error(self, small_scene, tmp_path, capsys,
+                                                          config, expected):
+        mapping = _map_16(small_scene, tmp_path)
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(config)
+        capsys.readouterr()
+        assert _run(*_regress_args(small_scene, mapping, cfg, tmp_path / "maps")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"mapping is for a 16x16 map, expected {expected}" in err
+        assert not (tmp_path / "maps").exists()
+
+    @pytest.mark.parametrize("fault", ["truncated", "trailing", "text", "duplicate"])
+    def test_bad_mapping_file_is_runtime_error(self, small_scene, tmp_path, capsys, fault):
+        mapping = _map_16(small_scene, tmp_path)
+        blob = mapping.read_bytes()
+        mapping.write_bytes({
+            "truncated": blob[:-1],
+            "trailing": blob + b"\0",
+            "text": "".join(f"{i} {i} 0\n" for i in range(30)).encode(),
+            "duplicate": blob[:-16] + blob[24:40],  # the last kernel on the first one's pixel
+        }[fault])
+        capsys.readouterr()
+        assert _run(*_regress_args(small_scene, mapping, tmp_path / "map16.cfg",
+                                   tmp_path / "maps")) == 1
+        _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command,flag", [("align", "--source-labels"), ("map", "--config")],
+                             ids=["labels", "config"])
+    def test_binary_text_input_is_runtime_error(self, small_scene, tmp_path, capsys,
+                                                command, flag):
+        argv = {"align": _inputs("align", small_scene, tmp_path),
+                "map": ("--input", small_scene / "appearance_canonical.gset",
+                        "--out", tmp_path / "m.uvm")}[command]
+        capsys.readouterr()
+        assert _run(command, *argv, flag, small_scene / "motion_canonical.gset") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "motion_canonical.gset: not UTF-8 text" in err
+
+    def test_overflowing_quaternion_is_runtime_error(self, small_scene, tmp_path, capsys):
+        blob = bytearray((small_scene / "appearance_canonical.gset").read_bytes())
+        n = int.from_bytes(blob[28:36], "little")
+        rotations = 36 + 8 * 3 * n  # the first kernel's rotation follows the positions block
+        blob[rotations:rotations + 16] = np.array([1e200, 1e200]).tobytes()
+        path = tmp_path / "huge.gset"
+        path.write_bytes(blob)
+        capsys.readouterr()
+        assert _run("render", "--input", path, "--out", tmp_path / "x.ppm") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "huge.gset: rotations contain a quaternion whose norm overflows" in err
 
     @pytest.mark.parametrize("command,flag,value", [
         ("render", "--truncation", "nan"),

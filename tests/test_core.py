@@ -1,5 +1,7 @@
 """Kernel container, quaternion algebra, and neighbor-graph construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,7 @@ def _contract_case(name):
         "NeighborGraph": (lambda **a: NeighborGraph(normalized=False, **a), dict(
             indices=np.zeros((4, 2), dtype=np.int64), weights=np.ones((4, 2)))),
         "FrameMotion": (FrameMotion, dict(delta_p=rng.normal(size=(4, 3)), delta_q=unit)),
-        "MortonMapping": (lambda **a: MortonMapping(resolution=(2, 2), valid_count=4, **a),
+        "MortonMapping": (lambda **a: MortonMapping(resolution=(2, 2), **a),
                           dict(uv=np.array([[0, 0], [1, 0], [0, 1], [1, 1]]))),
         "OrthoCamera": (lambda **a: OrthoCamera(width=1.0, height=1.0, resolution=(4, 4), **a),
                         dict(rotation=np.eye(3), center=np.zeros(3))),
@@ -121,6 +123,16 @@ class TestGaussianSet:
         g = _set()
         with pytest.raises(InvalidArgumentError):
             g.replace(**{field: bad})
+
+    @pytest.mark.parametrize("value", [1e200, -1e155, np.finfo(np.float64).max])
+    def test_rejects_overflowing_quaternion_norm(self, value):
+        # the norm of such a row is inf: it must not normalise to the identity
+        rotations = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
+        rotations[2, :2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="quaternion whose norm overflows"):
+                _set().replace(rotations=rotations)
 
     def test_labels_shape_checked(self):
         g = _set()

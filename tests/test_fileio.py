@@ -27,7 +27,7 @@ from splatkin.fileio import (
     write_ppm,
     write_trace,
 )
-from splatkin.morton import AttributeMap, MortonMapping
+from splatkin.morton import AttributeMap, MortonMapping, build_mapping
 from splatkin.pipeline import Trace
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -50,8 +50,20 @@ def _random_set(rng, n=5, channels=3, labels=False, role=Role.APPEARANCE):
     )
 
 
+def _random_mapping(rng, n=3, resolution=(256, 256)):
+    """``n`` kernels on distinct random pixels of the map."""
+    w, h = resolution
+    flat = rng.choice(w * h, size=n, replace=False)
+    return MortonMapping(resolution=resolution, uv=np.stack([flat % w, flat // w], axis=1))
+
+
 GSET_HEADER = "<4sIIIIqQ"
 GSET_HEADER_BYTES = struct.calcsize(GSET_HEADER)
+# struct layout and field names of each binary header, by file suffix
+HEADERS = {
+    "gset": (GSET_HEADER, ("magic", "version", "role", "channels", "labelled", "frame", "count")),
+    "uvm": ("<4sIIIQ", ("magic", "version", "width", "height", "count")),
+}
 
 
 def _written(tmp_path, gset, name="s.gset"):
@@ -73,15 +85,87 @@ def _field_offset(gset, field, row=0):
     raise KeyError(field)
 
 
-def _with_header(blob, **fields):
+def _with_header(blob, suffix="gset", **fields):
     """``blob`` with some header fields replaced (names as in the layout)."""
-    names = ("magic", "version", "role", "channels", "labelled", "frame", "count")
-    values = dict(zip(names, struct.unpack_from(GSET_HEADER, blob)))
+    layout, names = HEADERS[suffix]
+    values = dict(zip(names, struct.unpack_from(layout, blob)))
     values.update(fields)
-    return struct.pack(GSET_HEADER, *(values[k] for k in names)) + bytes(blob[GSET_HEADER_BYTES:])
+    return (struct.pack(layout, *(values[k] for k in names))
+            + bytes(blob[struct.calcsize(layout):]))
 
 
-class TestKernelSetFiles:
+class _BinaryFileChecks:
+    """Checks every binary container passes. A subclass names its file ``suffix``
+    and gives ``sample(rng)``, ``write(path, obj)`` and ``read(path)``."""
+
+    def _sample_file(self, tmp_path, name, seed):
+        path = tmp_path / f"{name}.{self.suffix}"
+        self.write(path, self.sample(np.random.default_rng(seed)))
+        return path, bytearray(path.read_bytes())
+
+    def test_every_truncation_length(self, tmp_path):
+        path, blob = self._sample_file(tmp_path, "cut", 20)
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            with pytest.raises(TruncationError, match=rf"cut\.{self.suffix}: "):
+                self.read(path)
+
+    def test_one_trailing_byte(self, tmp_path):
+        path, blob = self._sample_file(tmp_path, "t", 21)
+        path.write_bytes(blob + b"\n")
+        with pytest.raises(FormatError, match=rf"t\.{self.suffix}: 1 trailing bytes"):
+            self.read(path)
+
+    def test_bad_magic(self, tmp_path):
+        path, blob = self._sample_file(tmp_path, "j", 22)
+        path.write_bytes(_with_header(blob, self.suffix, magic=b"GMAP"))
+        with pytest.raises(FormatError, match=rf"j\.{self.suffix}: bad magic b'GMAP'"):
+            self.read(path)
+
+    @pytest.mark.parametrize("count", [3, 2**60, 2**64 - 1])
+    def test_count_beyond_byte_length_is_truncation(self, tmp_path, count):
+        # the length is checked before any array is built, so no count
+        # reaches an allocation
+        path, blob = self._sample_file(tmp_path, "big", 24)
+        path.write_bytes(_with_header(blob, self.suffix, count=count))
+        with pytest.raises(TruncationError, match=rf"big\.{self.suffix}: expected \d+ bytes"):
+            self.read(path)
+
+    def test_random_corruption(self, tmp_path):
+        # flip 1-3 random bytes anywhere: the reader either refuses the file
+        # with a format error or reads exactly what the bytes say
+        path, blob = self._sample_file(tmp_path, "x", 26)
+        rng = np.random.default_rng(27)
+        outcomes = {"refused": 0, "read": 0}
+        for _ in range(400):
+            bad = bytearray(blob)
+            for at in rng.integers(0, len(blob), size=rng.integers(1, 4)):
+                bad[at] ^= int(rng.integers(1, 256))
+            path.write_bytes(bad)
+            try:
+                back = self.read(path)
+            except FormatError:
+                outcomes["refused"] += 1
+                continue
+            outcomes["read"] += 1
+            again = tmp_path / f"again.{self.suffix}"
+            self.write(again, back)
+            assert again.read_bytes() == bytes(bad)
+        assert min(outcomes.values()) > 0, outcomes
+
+
+class TestKernelSetFiles(_BinaryFileChecks):
+    suffix = "gset"
+    write = staticmethod(write_gset)
+
+    @staticmethod
+    def sample(rng):
+        return _random_set(rng, n=2, channels=2, labels=True)
+
+    @staticmethod
+    def read(path):
+        return read_gset(path, label_names=("left", "right"))
+
     def test_round_trip_bit_exact(self, tmp_path):
         gset = _random_set(np.random.default_rng(0), n=7)
         path = tmp_path / "a.gset"
@@ -171,26 +255,11 @@ class TestKernelSetFiles:
         with pytest.raises(TruncationError, match=r"e\.gset: expected \d+ bytes"):
             read_gset(path)
 
-    def test_every_truncation_length(self, tmp_path):
-        gset = _random_set(np.random.default_rng(20), n=2, channels=1, labels=True)
-        path, blob = _written(tmp_path, gset, "cut.gset")
-        for size in range(len(blob)):
-            path.write_bytes(blob[:size])
-            with pytest.raises(TruncationError, match=r"cut\.gset: "):
-                read_gset(path)
-
     def test_extra_record_rejected(self, tmp_path):
         gset = _random_set(np.random.default_rng(6), n=3)
         path, blob = _written(tmp_path, gset, "f.gset")
         path.write_bytes(blob + blob[-8 * 14:])
         with pytest.raises(FormatError, match=r"f\.gset: 112 trailing bytes"):
-            read_gset(path)
-
-    def test_one_trailing_byte(self, tmp_path):
-        gset = _random_set(np.random.default_rng(21), n=3, labels=True)
-        path, blob = _written(tmp_path, gset, "t.gset")
-        path.write_bytes(blob + b"\n")
-        with pytest.raises(FormatError, match=r"t\.gset: 1 trailing bytes"):
             read_gset(path)
 
     def test_nan_token_rejected(self, tmp_path):
@@ -199,12 +268,6 @@ class TestKernelSetFiles:
         struct.pack_into("<d", blob, _field_offset(gset, "log_scales", row=1), float("nan"))
         path.write_bytes(blob)
         with pytest.raises(FormatError, match=r"i\.gset: log_scales contains non-finite"):
-            read_gset(path)
-
-    def test_bad_magic(self, tmp_path):
-        path, blob = _written(tmp_path, _random_set(np.random.default_rng(22)), "j.gset")
-        path.write_bytes(_with_header(blob, magic=b"GMAP"))
-        with pytest.raises(FormatError, match=r"j\.gset: bad magic b'GMAP'"):
             read_gset(path)
 
     def test_unknown_role(self, tmp_path):
@@ -231,16 +294,6 @@ class TestKernelSetFiles:
         with pytest.raises(FormatError, match=rf"h\.gset: .*{message}") as info:
             read_gset(path)
         assert type(info.value) is FormatError
-
-    @pytest.mark.parametrize("count", [3, 2**60, 2**64 - 1])
-    def test_count_beyond_byte_length_is_truncation(self, tmp_path, count):
-        # the length is checked before any array is built, so no count
-        # reaches an allocation
-        gset = _random_set(np.random.default_rng(24), n=2)
-        path, blob = _written(tmp_path, gset, "big.gset")
-        path.write_bytes(_with_header(blob, count=count))
-        with pytest.raises(TruncationError, match=r"big\.gset: expected \d+ bytes"):
-            read_gset(path)
 
     @pytest.mark.parametrize("channels", [4, 2**32 - 1])
     def test_channels_beyond_byte_length_is_truncation(self, tmp_path, channels):
@@ -284,6 +337,15 @@ class TestKernelSetFiles:
         with pytest.raises(FormatError, match=r"n\.gset: rotations contain a \(near\) zero-norm"):
             read_gset(path)
 
+    def test_overflowing_quaternion_reported_with_path(self, tmp_path):
+        gset = _random_set(np.random.default_rng(12), n=2)
+        path, blob = _written(tmp_path, gset, "o.gset")
+        struct.pack_into("<4d", blob, _field_offset(gset, "rotations", row=0), 1e200, 1e200, 0, 0)
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"o\.gset: rotations contain a quaternion whose "
+                                              r"norm overflows"):
+            read_gset(path)
+
     @pytest.mark.parametrize("label", [-1, -2**63])
     def test_negative_label_id(self, tmp_path, label):
         gset = _random_set(np.random.default_rng(17), n=3, labels=True)
@@ -311,28 +373,6 @@ class TestKernelSetFiles:
         path.write_bytes(blob)
         with pytest.raises(FormatError, match=r"q\.gset: bad header: frame -9223372036854775808"):
             read_gset(path)
-
-    def test_random_corruption(self, tmp_path):
-        # flip 1-3 random bytes anywhere: the reader either refuses the file
-        # with a format error or reads exactly what the bytes say
-        gset = _random_set(np.random.default_rng(26), n=3, channels=2, labels=True)
-        path, blob = _written(tmp_path, gset, "x.gset")
-        rng = np.random.default_rng(27)
-        outcomes = {"refused": 0, "read": 0}
-        for _ in range(400):
-            bad = bytearray(blob)
-            for at in rng.integers(0, len(blob), size=rng.integers(1, 4)):
-                bad[at] ^= int(rng.integers(1, 256))
-            path.write_bytes(bad)
-            try:
-                back = read_gset(path, label_names=("left", "right"))
-            except FormatError:
-                outcomes["refused"] += 1
-                continue
-            outcomes["read"] += 1
-            write_gset(tmp_path / "again.gset", back)
-            assert (tmp_path / "again.gset").read_bytes() == bytes(bad)
-        assert min(outcomes.values()) > 0, outcomes
 
     def test_refuses_to_write_non_finite(self, tmp_path):
         gset = _random_set(np.random.default_rng(13), n=2)
@@ -459,56 +499,97 @@ class TestAttributeMapFiles:
             write_gmap(tmp_path / "i.gmap", AttributeMap(data=data))
 
 
-class TestMappingFiles:
+class TestMappingFiles(_BinaryFileChecks):
+    suffix = "uvm"
+    write = staticmethod(write_mapping)
+
+    @staticmethod
+    def sample(rng):
+        return _random_mapping(rng, n=2)
+
+    @staticmethod
+    def read(path):
+        return read_mapping(path, (256, 256))
+
+    def _corrupt(self, tmp_path, edit, seed=30):
+        """A written sample mapping after ``edit(blob)``; returns its path."""
+        path, blob = self._sample_file(tmp_path, "m", seed)
+        path.write_bytes(edit(blob) or blob)
+        return path
+
     def test_round_trip(self, tmp_path):
         uv = np.array([[0, 0], [2, 1], [1, 3]], dtype=np.int64)
-        mapping = MortonMapping(resolution=(3, 4), uv=uv, valid_count=3)
-        write_mapping(tmp_path / "m.txt", mapping)
-        back = read_mapping(tmp_path / "m.txt", resolution=(3, 4))
+        mapping = MortonMapping(resolution=(3, 4), uv=uv)
+        write_mapping(tmp_path / "m.uvm", mapping)
+        back = read_mapping(tmp_path / "m.uvm", resolution=(3, 4))
         assert np.array_equal(back.uv, uv)
         assert back.resolution == (3, 4)
         assert len(back) == 3
+        assert back.uv.flags.c_contiguous and back.uv.flags.aligned
+        assert not back.uv.flags.writeable
 
-    def test_bad_field_count(self, tmp_path):
-        (tmp_path / "m.txt").write_text("0 1\n")
-        with pytest.raises(FormatError, match="index u v"):
-            read_mapping(tmp_path / "m.txt", resolution=(4, 4))
+    def test_header_layout(self, tmp_path):
+        mapping = build_mapping(np.random.default_rng(31).normal(size=(5, 3)), (3, 2), bits=4)
+        write_mapping(tmp_path / "m.uvm", mapping)
+        blob = (tmp_path / "m.uvm").read_bytes()
+        assert struct.unpack_from(HEADERS["uvm"][0], blob) == (b"GUVM", 1, 3, 2, 5)
+        assert len(blob) == 24 + 16 * 5
+        assert np.array_equal(np.frombuffer(blob, "<i8", offset=24).reshape(5, 2), mapping.uv)
 
-    def test_out_of_order(self, tmp_path):
-        (tmp_path / "m.txt").write_text("0 0 0\n2 1 1\n")
-        with pytest.raises(FormatError, match="out of order"):
-            read_mapping(tmp_path / "m.txt", resolution=(4, 4))
+    @pytest.mark.parametrize("field,value,message", [
+        ("version", 2, "unsupported version 2"),
+        ("version", 0, "unsupported version 0"),
+        ("width", 0, "bad header: 0x256 map"),
+        ("height", 0, "bad header: 256x0 map"),
+    ], ids=["version-2", "version-0", "width-0", "height-0"])
+    def test_bad_header_field(self, tmp_path, field, value, message):
+        path = self._corrupt(tmp_path, lambda blob: _with_header(blob, "uvm", **{field: value}))
+        with pytest.raises(FormatError, match=rf"m\.uvm: {message}") as info:
+            self.read(path)
+        assert type(info.value) is FormatError
+
+    @pytest.mark.parametrize("field,value", [("width", 255), ("height", 512)])
+    def test_resolution_mismatch(self, tmp_path, field, value):
+        path = self._corrupt(tmp_path, lambda blob: _with_header(blob, "uvm", **{field: value}))
+        found = "255x256" if field == "width" else "256x512"
+        with pytest.raises(FormatError,
+                           match=rf"m\.uvm: mapping is for a {found} map, expected 256x256"):
+            self.read(path)
 
     def test_coordinates_validated_against_resolution(self, tmp_path):
-        (tmp_path / "m.txt").write_text("0 5 0\n")
-        with pytest.raises(FormatError, match="outside"):
-            read_mapping(tmp_path / "m.txt", resolution=(4, 4))
+        def edit(blob):
+            struct.pack_into("<q", blob, 24 + 16, 256)  # the second kernel's u
+        with pytest.raises(FormatError, match=r"m\.uvm: uv coordinates fall outside the map"):
+            self.read(self._corrupt(tmp_path, edit))
 
     def test_coordinate_beyond_int64(self, tmp_path):
-        (tmp_path / "m.txt").write_text("0 0 0\n1 1 99999999999999999999\n")
-        with pytest.raises(FormatError, match=r"m\.txt:2: integer .* out of int64 range"):
-            read_mapping(tmp_path / "m.txt", resolution=(4, 4))
+        # a coordinate with the top bit set is a negative int64
+        def edit(blob):
+            struct.pack_into("<Q", blob, 24 + 8, 2**63)  # the first kernel's v
+        with pytest.raises(FormatError, match=r"m\.uvm: uv coordinates fall outside the map"):
+            self.read(self._corrupt(tmp_path, edit))
 
     def test_duplicate_pixel_rejected(self, tmp_path):
-        (tmp_path / "m.txt").write_text("0 1 1\n1 1 1\n")
-        with pytest.raises(FormatError, match="injective"):
-            read_mapping(tmp_path / "m.txt", resolution=(4, 4))
-
-    def test_trailing_blank_lines_tolerated(self, tmp_path):
-        (tmp_path / "m.txt").write_text("0 0 0\n1 1 0\n\n  \n")
-        assert len(read_mapping(tmp_path / "m.txt", resolution=(4, 4))) == 2
-
-    @pytest.mark.parametrize("text,line", [("0 0 0\n1 1 0\n\n2 x 0\n", 3),
-                                           ("\n0 0 0\n", 1)])
-    def test_blank_line_inside_rejected_at_its_line(self, tmp_path, text, line):
-        (tmp_path / "m.txt").write_text(text)
-        with pytest.raises(FormatError, match=rf"m\.txt:{line}: blank line inside the record block"):
-            read_mapping(tmp_path / "m.txt", resolution=(4, 4))
+        def edit(blob):
+            blob[24 + 16:] = blob[24:24 + 16]  # the second kernel on the first one's pixel
+        with pytest.raises(FormatError, match=r"m\.uvm: uv assignment is not injective"):
+            self.read(self._corrupt(tmp_path, edit))
 
     def test_empty_rejected(self, tmp_path):
-        (tmp_path / "m.txt").write_text("\n")
-        with pytest.raises(FormatError, match="empty"):
-            read_mapping(tmp_path / "m.txt", resolution=(4, 4))
+        path = tmp_path / "m.uvm"
+        path.write_bytes(struct.pack(HEADERS["uvm"][0], b"GUVM", 1, 4, 4, 0))
+        with pytest.raises(FormatError, match=r"m\.uvm: bad header: 4x4 map, count 0"):
+            read_mapping(path, resolution=(4, 4))
+        empty = MortonMapping(resolution=(4, 4), uv=np.zeros((0, 2), dtype=np.int64))
+        with pytest.raises(InvalidArgumentError, match="refusing to write a 4x4 mapping of 0"):
+            write_mapping(tmp_path / "e.uvm", empty)
+        assert not (tmp_path / "e.uvm").exists()
+
+    def test_old_text_layout_rejected(self, tmp_path):
+        path = tmp_path / "old.uvm"
+        path.write_text("".join(f"{i} {i} 0\n" for i in range(5)))
+        with pytest.raises(FormatError, match=r"old\.uvm: bad magic b'0 0 '"):
+            read_mapping(path, resolution=(8, 8))
 
 
 class TestImageFiles:
@@ -643,3 +724,11 @@ class TestTraceFiles:
         (tmp_path / "t.csv").write_text("")
         with pytest.raises(FormatError, match="empty"):
             read_trace(tmp_path / "t.csv")
+
+
+@pytest.mark.parametrize("reader", [read_labels, read_config, read_trace],
+                         ids=["labels", "config", "trace"])
+def test_text_reader_refuses_non_utf8(tmp_path, reader):
+    path = _written(tmp_path, _random_set(np.random.default_rng(32)), "bin.gset")[0]
+    with pytest.raises(FormatError, match=r"bin\.gset: not UTF-8 text \(byte \d+\)"):
+        reader(path)

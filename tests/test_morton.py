@@ -134,7 +134,7 @@ class TestBuildMapping:
 
     def test_duplicate_pixels_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            MortonMapping(resolution=(2, 2), uv=np.array([[0, 0], [0, 0]]), valid_count=2)
+            MortonMapping(resolution=(2, 2), uv=np.array([[0, 0], [0, 0]]))
 
 
 class TestAlternativeLayouts:
@@ -163,13 +163,11 @@ class TestAlternativeLayouts:
     def test_locality_score_hand_case(self):
         # two kernels side by side: score = their 3D distance
         pts = np.array([[0.0, 0, 0], [0.5, 0, 0]])
-        mapping = MortonMapping(resolution=(2, 1), uv=np.array([[0, 0], [1, 0]]),
-                                valid_count=2)
+        mapping = MortonMapping(resolution=(2, 1), uv=np.array([[0, 0], [1, 0]]))
         assert locality_score(mapping, pts) == pytest.approx(0.5)
 
     def test_locality_score_rejects_non_finite_positions(self):
-        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0], [1, 0], [0, 1], [1, 1]]),
-                                valid_count=4)
+        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0], [1, 0], [0, 1], [1, 1]]))
         with pytest.raises(InvalidArgumentError, match="positions"):
             locality_score(mapping, np.full((4, 3), np.nan))
 
@@ -186,13 +184,13 @@ class TestAttributeMaps:
         assert np.array_equal(unpack_map(mapping, amap), values)
 
     def test_invalid_pixels_stay_zero(self):
-        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[1, 1]]), valid_count=1)
+        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[1, 1]]))
         amap = pack_map(mapping, np.array([[3.0, 4.0]]))
         assert amap.data[1, 1].tolist() == [3.0, 4.0]
         assert np.count_nonzero(amap.data) == 2
 
     def test_count_mismatch_rejected(self):
-        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0]]), valid_count=1)
+        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0]]))
         with pytest.raises(InvalidArgumentError):
             pack_map(mapping, np.zeros((2, 3)))
 
@@ -200,17 +198,17 @@ class TestAttributeMaps:
                                               (-1e39, "overflows float32"),
                                               (np.nan, "non-finite"), (np.inf, "non-finite")])
     def test_values_outside_float32_rejected(self, bad, message):
-        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0], [1, 1]]), valid_count=2)
+        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0], [1, 1]]))
         values = np.array([[1.0, 2.0], [3.0, bad]])
         with pytest.raises(InvalidArgumentError, match=f"colors.*{message}"):
             pack_map(mapping, values, "colors")
 
     def test_largest_float32_packs(self):
-        mapping = MortonMapping(resolution=(1, 1), uv=np.array([[0, 0]]), valid_count=1)
+        mapping = MortonMapping(resolution=(1, 1), uv=np.array([[0, 0]]))
         top = float(np.finfo(np.float32).max)
         assert pack_map(mapping, np.array([[top, -top]])).data.tolist() == [[[top, -top]]]
 
     def test_resolution_mismatch_rejected(self):
-        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0]]), valid_count=1)
+        mapping = MortonMapping(resolution=(2, 2), uv=np.array([[0, 0]]))
         with pytest.raises(InvalidArgumentError):
             unpack_map(mapping, AttributeMap(data=np.zeros((3, 3, 1), dtype=np.float32)))
