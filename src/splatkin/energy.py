@@ -65,28 +65,40 @@ def e_arap(prev: GaussianSet, cur: GaussianSet, graph: NeighborGraph) -> EnergyE
     if graph.indices.size and graph.indices.max() >= n:
         raise InvalidArgumentError("graph references kernels beyond the set")
 
-    # r = prev^-1 = conj(prev)/|prev|^2; GaussianSet guarantees a non-zero norm
-    prev_q = prev.rotations
-    norm_sq = np.sum(prev_q * prev_q, axis=1, keepdims=True)
-    q_hat, q_norm, delta_rot = _unit_rotation(_hamilton(cur.rotations, prev_q * _CONJ / norm_sq))
-
-    idx = graph.indices
-    w = graph.weights
-    a = np.take(prev.positions, idx, axis=0) - prev.positions[:, None, :]  # (N,k,3)
-    b = np.take(cur.positions, idx, axis=0) - cur.positions[:, None, :]
-    # matmul is several times faster with a contiguous right operand than with a view
-    e = a @ np.ascontiguousarray(delta_rot.transpose(0, 2, 1)) - b
-    we = 2.0 * w[:, :, None] * e
-    value = 0.5 * float(np.sum(we * e))
+    value, e, a, _, (q_hat, q_norm, prev_inv) = _arap_residual(
+        prev, cur.positions, cur.rotations, graph)
+    we = 2.0 * graph.weights[:, :, None] * e
 
     # each edge pulls +we on kernel i and -we on neighbour idx; one bincount over (kernel, axis)
-    slots = (idx[:, :, None] * 3 + np.arange(3)).ravel()
+    slots = (graph.indices[:, :, None] * 3 + np.arange(3)).ravel()
     grad_p = np.einsum("nkd->nd", we) - np.bincount(slots, we.ravel(), 3 * n).reshape(n, 3)
 
     g_rot = we.transpose(0, 2, 1) @ a  # dV/d(delta_rot)
     # q_raw = cur (x) r is linear in cur; its transpose is right-multiplication by conj(r)
-    grad_q = _hamilton(_rotation_grad(q_hat, q_norm, g_rot), prev_q / norm_sq)
+    grad_q = _hamilton(_rotation_grad(q_hat, q_norm, g_rot), prev_inv * _CONJ)
     return EnergyEval(value=value, grad_p=grad_p, grad_q=grad_q)
+
+
+def _arap_residual(prev: GaussianSet, positions: np.ndarray, rotations: np.ndarray,
+                   graph: NeighborGraph):
+    """Value and edge residuals of ``e_arap`` at current positions and raw rotations; unchecked.
+
+    Returns (value, e, a, rotated, (q_hat, |q|, prev^-1)): ``a`` holds the previous
+    edge offsets (N,k,3), ``rotated`` is a R^T with R the relative rotation
+    R(q_hat) of q = rotations (x) prev^-1, and e = rotated - b with b the current
+    edge offsets. The tracker's solver shares it, so both log the same value.
+    """
+    # prev^-1 = conj(prev)/|prev|^2; GaussianSet guarantees a non-zero norm
+    prev_q = prev.rotations
+    prev_inv = prev_q * _CONJ / np.sum(prev_q * prev_q, axis=1, keepdims=True)
+    q_hat, q_norm, delta_rot = _unit_rotation(_hamilton(rotations, prev_inv))
+    idx = graph.indices
+    a = np.take(prev.positions, idx, axis=0) - prev.positions[:, None, :]  # (N,k,3)
+    # matmul is several times faster with a contiguous right operand than with a view
+    rotated = a @ np.ascontiguousarray(delta_rot.transpose(0, 2, 1))
+    e = rotated - (np.take(positions, idx, axis=0) - positions[:, None, :])
+    value = float(np.sum(graph.weights[:, :, None] * e * e))
+    return value, e, a, rotated, (q_hat, q_norm, prev_inv)
 
 
 def e_iso(gset: GaussianSet, ratio_limit: float = 4.0) -> EnergyEval:
@@ -150,22 +162,34 @@ def e_data_points(gset: GaussianSet, cloud: PointCloud) -> EnergyEval:
         raise InvalidArgumentError(
             f"color channels differ: set {gset.color_channels} vs cloud {cloud.colors.shape[1]}"
         )
+    value, _, dp, dc, nn_bwd = _point_match(gset.positions, gset.colors, cloud)
     n = len(gset)
     m = len(cloud)
-
-    d_fwd, nn_fwd = cloud.tree.query(gset.positions, k=1)
-    dp = gset.positions - cloud.points[nn_fwd]
-    dc = gset.colors - cloud.colors[nn_fwd]
-    fwd = (np.sum(dp * dp, axis=1) + np.sum(dc * dc, axis=1)).sum() / n
-
-    d_bwd, nn_bwd = cKDTree(gset.positions).query(cloud.points, k=1)
-    bwd = float(np.sum(d_bwd * d_bwd)) / m
-
     grad_p = 2.0 * dp / n
+    # each target point pulls its nearest kernel; one bincount over (kernel, axis)
     pull = 2.0 * (gset.positions[nn_bwd] - cloud.points) / m
-    np.add.at(grad_p, nn_bwd, pull)
+    slots = (nn_bwd[:, None] * 3 + np.arange(3)).ravel()
+    grad_p += np.bincount(slots, pull.ravel(), 3 * n).reshape(n, 3)
     grad_c = 2.0 * dc / n
-    return EnergyEval(value=float(fwd + bwd), grad_p=grad_p, grad_c=grad_c)
+    return EnergyEval(value=value, grad_p=grad_p, grad_c=grad_c)
+
+
+def _point_match(positions: np.ndarray, colors: np.ndarray, cloud: PointCloud):
+    """Value and nearest-point matches of ``e_data_points``; unchecked.
+
+    Returns (value, nn_fwd, dp, dc, nn_bwd): the nearest cloud point of each
+    kernel with the position and color differences to it, and the nearest
+    kernel of each cloud point. The forward query uses the cloud's cached tree;
+    the backward one builds a tree of ``positions``. The tracker's solver
+    shares it, so both log the same value.
+    """
+    _, nn_fwd = cloud.tree.query(positions, k=1)
+    dp = positions - cloud.points[nn_fwd]
+    dc = colors - cloud.colors[nn_fwd]
+    fwd = (np.sum(dp * dp, axis=1) + np.sum(dc * dc, axis=1)).sum() / len(positions)
+    d_bwd, nn_bwd = cKDTree(positions).query(cloud.points, k=1)
+    bwd = float(np.sum(d_bwd * d_bwd)) / len(cloud)
+    return float(fwd + bwd), nn_fwd, dp, dc, nn_bwd
 
 
 def e_sem(gset: GaussianSet, target_centroids, clusters) -> EnergyEval:

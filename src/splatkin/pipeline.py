@@ -1,8 +1,11 @@
 """Optimization stages: canonical fitting, tracking, alignment, motion transfer.
 
-Every stage is one call to ``_optimize``: a weighted sum of energy terms
-minimized by Adam over some parameter blocks. The stages differ only in their
-set-up, their terms and which blocks move.
+Fitting, alignment and transfer are each one call to ``_optimize``: a weighted
+sum of energy terms minimized by Adam over some parameter blocks. They differ
+only in their set-up, their terms and which blocks move. Tracking has its own
+local/global solver (``_track_frame``): per-kernel rotation fits alternate with
+one linear solve for all positions, under nearest-point matches that are
+renewed every step.
 """
 
 from __future__ import annotations
@@ -12,10 +15,23 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GaussianSet, PointCloud, Role, knn_build, quat_normalize
+import scipy.linalg
+import scipy.sparse
+
+from .core import (
+    GaussianSet,
+    NeighborGraph,
+    PointCloud,
+    Role,
+    _hamilton,
+    knn_build,
+    quat_normalize,
+)
 from .energy import (
     GRAD_FIELDS,
     EnergyEval,
+    _arap_residual,
+    _point_match,
     e_arap,
     e_data_points,
     e_iso,
@@ -31,6 +47,13 @@ from .warp import FrameMotion, warp_appearance
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+
+# tracking stops once its best total has not fallen by more than TOL times the
+# frame's first total for PATIENCE solver steps
+TOL = 1e-5
+PATIENCE = 5
+# squarings of the shifted Horn matrix per rotation fit: power iteration to the 1024th power
+_FIT_SQUARINGS = 10
 
 
 class Adam(object):
@@ -172,7 +195,6 @@ class TrackConfig:
     lambda_size: float = 1.0
     k_neighbors: int = 4
     lr_position: float = 1e-3
-    lr_rotation: float = 1e-3
     lr_scale: float = 1e-3
     lr_color: float = 1e-3
     lr_end_factor: float = 0.1
@@ -289,28 +311,166 @@ def init_canonical(initial: GaussianSet, target: PointCloud,
 # frame-to-frame tracking
 
 
+def _fit_rotations(a: np.ndarray, b: np.ndarray, w: np.ndarray, warm: np.ndarray) -> np.ndarray:
+    """Per-kernel unit quaternion q minimizing sum_k w_k |R(q) a_k - b_k|^2 (Procrustes).
+
+    ``a`` and ``b`` are (N,k,3) offsets, ``w`` (N,k) non-negative weights and
+    ``warm`` (N,4) unit start quaternions. The best q is the top eigenvector of
+    Horn's traceless symmetric 4x4 matrix of S = sum_k w_k a_k b_k^T. Adding
+    c = sum_k w_k (|a_k|^2 + |b_k|^2) / 2, which bounds its spectrum, makes it
+    positive semi-definite; squaring that ``_FIT_SQUARINGS`` times and applying
+    it to ``warm`` is power iteration from ``warm``. So a fit never scores below
+    its start, a kernel without weight keeps ``warm``, and the result is a
+    proper rotation in ``warm``'s hemisphere.
+    """
+    s = (w[:, :, None] * a).transpose(0, 2, 1) @ b
+    sxx, sxy, sxz, syx, syy, syz, szx, szy, szz = np.moveaxis(s.reshape(-1, 9), -1, 0)
+    c = 0.5 * np.einsum("nk,nkd->n", w, a * a + b * b)
+    m = np.empty((len(s), 4, 4))
+    m[:, 0, 0] = c + sxx + syy + szz
+    m[:, 1, 1] = c + sxx - syy - szz
+    m[:, 2, 2] = c - sxx + syy - szz
+    m[:, 3, 3] = c - sxx - syy + szz
+    m[:, 0, 1] = m[:, 1, 0] = syz - szy
+    m[:, 0, 2] = m[:, 2, 0] = szx - sxz
+    m[:, 0, 3] = m[:, 3, 0] = sxy - syx
+    m[:, 1, 2] = m[:, 2, 1] = sxy + syx
+    m[:, 1, 3] = m[:, 3, 1] = szx + sxz
+    m[:, 2, 3] = m[:, 3, 2] = syz + szy
+    # scaled to trace 1 the top eigenvalue is at least 1/4, so it stays far
+    # from underflow over five squarings; rescale after every fifth
+    m /= np.where(c > 0.0, 4.0 * c, 1.0)[:, None, None]
+    for i in range(1, _FIT_SQUARINGS + 1):
+        m = m @ m
+        if i % 5 == 0:
+            trace = np.trace(m, axis1=1, axis2=2)
+            m /= np.where(trace > 0.0, trace, 1.0)[:, None, None]
+    q = (m @ warm[:, :, None])[:, :, 0]
+    norm = np.linalg.norm(q, axis=1, keepdims=True)
+    return np.where(norm > 0.0, q / np.where(norm > 0.0, norm, 1.0), warm)
+
+
+@dataclass
+class _Laplacian:
+    """The weighted Laplacian of a rigidity graph, as a lower band in reverse Cuthill-McKee order.
+
+    It is the part of ``e_arap`` that is quadratic in positions: every edge
+    (i, j, w) with i != j adds w |p_j - p_i|^2. It depends on the graph alone,
+    so it is assembled once per sequence, in the order that keeps the band narrow.
+    """
+
+    order: np.ndarray  # kernel at each banded row
+    band: np.ndarray  # (width+1, N), band[r - c, c] = L[r, c] for r >= c
+
+    @classmethod
+    def of(cls, graph: NeighborGraph) -> "_Laplacian":
+        # loaded here so that only tracking pays for the module
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        n, k = graph.indices.shape
+        i = np.repeat(np.arange(n), k)
+        j = graph.indices.ravel()
+        real = i != j
+        i, j, w = i[real], j[real], graph.weights.ravel()[real]
+        adjacency = scipy.sparse.csr_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+        order = reverse_cuthill_mckee(adjacency, symmetric_mode=False)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        lo, hi = np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j])
+        band = np.zeros((int((hi - lo).max(initial=0)) + 1, n))
+        band[0] = np.bincount(lo, w, n) + np.bincount(hi, w, n)
+        np.subtract.at(band, (hi - lo, lo), w)
+        return cls(order=order, band=band)
+
+    def solve(self, diagonal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve (L + diag(``diagonal``)) x = ``rhs`` (N,3); the diagonal must be positive."""
+        band = self.band.copy()
+        band[0] += diagonal[self.order]
+        x = np.empty_like(rhs)
+        x[self.order] = scipy.linalg.solveh_banded(band, rhs[self.order], lower=True,
+                                                   check_finite=False)
+        return x
+
+
+def _track_frame(prev: GaussianSet, cloud: PointCloud, graph: NeighborGraph,
+                 laplacian: _Laplacian, steps: int) -> tuple[GaussianSet, Trace]:
+    """Minimize e_data_points + e_arap(prev, .) over positions and rotations.
+
+    Iterate 0 is ``prev``. Each step renews the nearest-point matches of the
+    current positions both ways, fits each kernel's rotation against ``prev``'s
+    edge offsets (``_fit_rotations``, kernel quaternion ``fit (x) prev``) and
+    then solves one SPD system for all positions: the energy with the matches
+    and rotations held is quadratic in positions, and colors do not move. Row t
+    of the trace logs iterate t with the rotations fitted to its positions;
+    the best iterate is returned and re-logged last. At most ``steps`` steps
+    run, fewer once the stopping rule (``TOL``, ``PATIENCE``) holds.
+    """
+    n, m = len(prev), len(cloud)
+    idx, w = graph.indices, graph.weights
+    edge_slots = (idx[:, :, None] * 3 + np.arange(3)).ravel()
+    positions, rotations = prev.positions, prev.rotations
+    fit = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+    trace = Trace(columns=("iteration", "e_data", "e_arap", "total"))
+    for it in range(steps + 1):
+        if it:
+            offsets = np.take(positions, idx, axis=0) - positions[:, None, :]
+            fit = _fit_rotations(a, offsets, w, fit)
+            rotations = _hamilton(fit, prev.rotations)
+            rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
+        e_data, nn_fwd, _, _, nn_bwd = _point_match(positions, prev.colors, cloud)
+        # a: prev's edge offsets, the same on every step
+        e_rigid, _, a, rotated, _ = _arap_residual(prev, positions, rotations, graph)
+        values = (e_data, e_rigid, e_data + e_rigid)
+        trace.record(it, values)
+        if it == 0:
+            best, anchor, since = (values, positions, rotations), values[-1], 0
+            tol = TOL * values[-1]
+        elif values[-1] < best[0][-1]:
+            best = (values, positions, rotations)
+            if values[-1] < anchor - tol:
+                anchor, since = values[-1], it
+        if it == steps or it - since >= PATIENCE:
+            break
+        # zero gradient of the energy with matches and rotations held:
+        # (L + diag(1/n + count/m)) p = y/n + (sum of matched points)/m + r
+        wr = w[:, :, None] * rotated
+        rhs = (cloud.points[nn_fwd] / n
+               + np.bincount((nn_bwd[:, None] * 3 + np.arange(3)).ravel(),
+                             cloud.points.ravel(), 3 * n).reshape(n, 3) / m
+               + np.bincount(edge_slots, wr.ravel(), 3 * n).reshape(n, 3)
+               - np.einsum("nkd->nd", wr))
+        positions = laplacian.solve(1.0 / n + np.bincount(nn_bwd, minlength=n) / m, rhs)
+    trace.record(it + 1, best[0])
+    return prev.replace(positions=best[1], rotations=best[2]), trace
+
+
 def track_sequence(canonical: GaussianSet, targets: list[PointCloud],
                    cfg: TrackConfig) -> tuple[list[GaussianSet], list[Trace]]:
     """Track a motion set through a sequence of colored target clouds.
 
     Each frame warm-starts from the previous result and minimizes the point
-    match plus rigidity against the previous frame; only positions and
-    rotations move. Returns per-frame sets (frame numbers 1..T) and traces.
+    match plus rigidity against the previous frame with ``_track_frame``;
+    only positions and rotations move, and ``cfg.iterations_track`` caps the
+    solver steps per frame. Returns per-frame sets (frame numbers 1..T) and
+    traces.
     """
     if canonical.role is not Role.MOTION:
         raise InvalidArgumentError("tracking expects a motion-role set")
     graph = knn_build(canonical.positions, canonical.positions, cfg.k_neighbors,
                       cfg.length_scale, normalize=False)
+    laplacian = _Laplacian.of(graph)
     prev = canonical
     results: list[GaussianSet] = []
     traces: list[Trace] = []
     for t, cloud in enumerate(targets, start=1):
-        prev, trace = _optimize(
-            prev.replace(frame=t),
-            {"positions": cfg.lr_position, "rotations": cfg.lr_rotation},
-            cfg.lr_end_factor, cfg.iterations_track,
-            [("e_data", 1.0, lambda cur: e_data_points(cur, cloud)),
-             ("e_arap", 1.0, lambda cur: e_arap(prev, cur, graph))])
+        if len(cloud) == 0:
+            raise InvalidArgumentError("data term needs a non-empty set and cloud")
+        if prev.color_channels != cloud.colors.shape[1]:
+            raise InvalidArgumentError(
+                f"color channels differ: set {prev.color_channels} vs cloud "
+                f"{cloud.colors.shape[1]}")
+        prev, trace = _track_frame(prev.replace(frame=t), cloud, graph, laplacian,
+                                   cfg.iterations_track)
         results.append(prev)
         traces.append(trace)
     return results, traces

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from splatkin.core import (
     GaussianSet,
@@ -172,6 +173,22 @@ class TestDataPoints:
         # a fresh cloud with the same points gives the same bits
         again = e_data_points(g, PointCloud(points=cloud.points, colors=cloud.colors))
         assert again.value == first.value and np.array_equal(again.grad_p, first.grad_p)
+
+    @pytest.mark.parametrize("n,m,seed", [(300, 300, 0), (300, 700, 1), (40, 900, 2)])
+    def test_backward_pull_matches_scatter_add_reference(self, n, m, seed):
+        # the backward pulls are summed per kernel by one bincount and then added
+        # to the forward term, where np.add.at adds them one at a time: the
+        # order of summation differs, so the two agree to rounding only
+        rng = np.random.default_rng(100 + seed)
+        g = _rand_set(n, seed=seed)
+        cloud = PointCloud(points=g.positions[rng.integers(0, n, m)] + 0.1 * rng.normal(size=(m, 3)),
+                           colors=rng.random((m, 3)))
+        out = e_data_points(g, cloud)
+        _, nn_fwd = cKDTree(cloud.points).query(g.positions)
+        _, nn_bwd = cKDTree(g.positions).query(cloud.points)
+        want = 2.0 * (g.positions - cloud.points[nn_fwd]) / n
+        np.add.at(want, nn_bwd, 2.0 * (g.positions[nn_bwd] - cloud.points) / m)
+        assert np.abs(out.grad_p - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestSem:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from splatkin.core import PointCloud, Role, knn_build, quat_normalize
+from splatkin.core import PointCloud, Role, knn_build, quat_normalize, quat_to_matrix
 from splatkin.energy import e_arap, e_data_points
 from splatkin.errors import InvalidArgumentError
 from splatkin.fileio import read_gset, write_gset
@@ -11,9 +11,11 @@ from splatkin.pipeline import (
     _BETA1,
     _BETA2,
     _EPS,
+    PATIENCE,
     Adam,
     TrackConfig,
     TransferConfig,
+    _fit_rotations,
     _optimize,
     align_canonical,
     init_canonical,
@@ -217,7 +219,7 @@ class TestMatchClusters:
 
 def _fast_track_cfg(**kw):
     base = dict(iterations_init=40, iterations_track=40, length_scale=0.05,
-                k_neighbors=4, lr_position=2e-3, lr_rotation=2e-3, seed=0)
+                k_neighbors=4, lr_position=2e-3, seed=0)
     base.update(kw)
     return TrackConfig(**base)
 
@@ -255,11 +257,23 @@ class TestInitCanonical:
         assert trace.rows[-1][-1] == pytest.approx(min(totals), rel=1e-12)
 
 
+def _rz(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _rigid_targets(sc, angles, shift):
+    """Clouds of the motion points turned about z by each angle and moved by shift per frame."""
+    return [PointCloud(points=sc.motion.points @ _rz(a).T + (i + 1) * np.asarray(shift),
+                       colors=sc.motion.colors)
+            for i, a in enumerate(angles)]
+
+
 class TestTrackSequence:
     def test_tracks_small_rotation(self):
         sc = make_scene("twolink", 60, 80, seed=14)
         frames = animate(sc, [0.04, 0.08])
-        cfg = _fast_track_cfg(iterations_track=150, lr_position=3e-3, lr_rotation=3e-3)
+        cfg = _fast_track_cfg(iterations_track=150)
         results, traces = track_sequence(sc.motion_set(), [f.motion for f in frames], cfg)
         assert [r.frame for r in results] == [1, 2]
         for fr, res, tr in zip(frames, results, traces):
@@ -273,6 +287,104 @@ class TestTrackSequence:
         sc = make_scene("twolink", 30, 40, seed=15)
         with pytest.raises(InvalidArgumentError):
             track_sequence(sc.appearance_set(), [sc.motion], _fast_track_cfg())
+
+    def test_cloud_checked(self):
+        sc = make_scene("twolink", 30, 40, seed=15)
+        for cloud in (PointCloud(points=np.zeros((0, 3)), colors=np.zeros((0, 3))),
+                      PointCloud(points=sc.motion.points, colors=sc.motion.colors[:, :2])):
+            with pytest.raises(InvalidArgumentError):
+                track_sequence(sc.motion_set(), [cloud], _fast_track_cfg())
+
+    def test_rigid_motion_is_recovered(self):
+        sc = make_scene("twolink", 200, 40, seed=16)
+        motion = sc.motion_set()
+        angles, shift = [0.03, 0.06], [0.004, -0.002, 0.001]
+        cfg = _fast_track_cfg(iterations_track=300, length_scale=0.01)
+        results, _ = track_sequence(motion, _rigid_targets(sc, angles, shift), cfg)
+        graph = knn_build(motion.positions, motion.positions, cfg.k_neighbors,
+                          cfg.length_scale, normalize=False)
+        prev = motion
+        for i, (res, angle) in enumerate(zip(results, angles)):
+            exact = motion.positions @ _rz(angle).T + (i + 1) * np.asarray(shift)
+            assert np.sqrt(np.mean(np.sum((res.positions - exact) ** 2, axis=1))) < 1e-3
+            assert e_arap(prev, res, graph).value < 1e-8
+            prev = res
+
+    def test_trace_rows_are_the_energies_and_end_at_the_best(self):
+        sc = make_scene("twolink", 80, 40, seed=17)
+        motion = sc.motion_set()
+        frames = animate(sc, [0.1, 0.2])
+        cfg = _fast_track_cfg(iterations_track=60, length_scale=0.02)
+        results, traces = track_sequence(motion, [f.motion for f in frames], cfg)
+        graph = knn_build(motion.positions, motion.positions, cfg.k_neighbors,
+                          cfg.length_scale, normalize=False)
+        prev = motion
+        for fr, res, tr in zip(frames, results, traces):
+            iterations = [row[0] for row in tr.rows]
+            assert iterations == list(range(len(tr.rows)))
+            totals = [row[-1] for row in tr.rows]
+            assert totals[-1] == min(totals)
+            assert totals[-1] < totals[0]
+            for row in tr.rows:
+                assert row[3] == row[1] + row[2]
+            e_data = e_data_points(res, fr.motion).value
+            e_rigid = e_arap(prev, res, graph).value
+            assert tr.rows[-1][1] == pytest.approx(e_data, rel=1e-12, abs=0.0)
+            assert tr.rows[-1][2] == pytest.approx(e_rigid, rel=1e-12, abs=0.0)
+            assert np.allclose(np.linalg.norm(res.rotations, axis=1), 1.0, atol=1e-15)
+            prev = res
+        # row 0 is the starting state: the previous frame, which has no rigidity cost
+        assert traces[0].rows[0][2] == 0.0
+        assert traces[0].rows[0][1] == e_data_points(motion, frames[0].motion).value
+
+    def test_step_cap_is_honoured(self):
+        sc = make_scene("twolink", 60, 40, seed=18)
+        frames = animate(sc, [0.2])
+        cfg = _fast_track_cfg(iterations_track=1)
+        _, (trace,) = track_sequence(sc.motion_set(), [frames[0].motion], cfg)
+        # the start, one solver step, and the re-logged best
+        assert [row[0] for row in trace.rows] == [0, 1, 2]
+        assert trace.rows[2][1:] == min(trace.rows[:2], key=lambda row: row[-1])[1:]
+
+    def test_fitted_target_stops_within_patience(self):
+        sc = make_scene("twolink", 60, 40, seed=19)
+        cfg = _fast_track_cfg(iterations_track=500)
+        _, (trace,) = track_sequence(sc.motion_set(), [sc.motion], cfg)
+        steps = trace.rows[-1][0] - 1
+        assert steps <= PATIENCE + 1
+        assert trace.rows[0][-1] == 0.0 and trace.rows[-1][-1] == 0.0
+
+    def test_runs_are_bitwise_equal(self):
+        sc = make_scene("twolink", 80, 40, seed=20)
+        frames = animate(sc, [0.15, 0.3])
+        cfg = _fast_track_cfg(iterations_track=40)
+        runs = [track_sequence(sc.motion_set(), [f.motion for f in frames], cfg)
+                for _ in range(2)]
+        for (res_a, tr_a), (res_b, tr_b) in zip(zip(*runs[0]), zip(*runs[1])):
+            assert np.array_equal(res_a.positions, res_b.positions)
+            assert np.array_equal(res_a.rotations, res_b.rotations)
+            assert tr_a.rows == tr_b.rows
+
+
+class TestFitRotations:
+    def test_recovers_a_known_rotation(self):
+        rng = np.random.default_rng(21)
+        truth = quat_normalize(rng.normal(size=(50, 4)))
+        a = rng.normal(size=(50, 6, 3))
+        b = a @ quat_to_matrix(truth).transpose(0, 2, 1)
+        w = rng.uniform(0.1, 1.0, size=(50, 6))
+        fit = _fit_rotations(a, b, w, np.tile([1.0, 0.0, 0.0, 0.0], (50, 1)))
+        rot = quat_to_matrix(fit)
+        assert np.abs(rot - quat_to_matrix(truth)).max() < 1e-12
+        assert np.abs(np.linalg.det(rot) - 1.0).max() < 1e-12
+        assert np.allclose(np.linalg.norm(fit, axis=1), 1.0, atol=1e-15)
+
+    def test_weightless_kernel_keeps_its_start(self):
+        rng = np.random.default_rng(22)
+        warm = quat_normalize(rng.normal(size=(3, 4)))
+        a = rng.normal(size=(3, 4, 3))
+        fit = _fit_rotations(a, rng.normal(size=(3, 4, 3)), np.zeros((3, 4)), warm)
+        assert np.array_equal(fit, warm)
 
 
 def _fast_transfer_cfg(**kw):
