@@ -65,9 +65,8 @@ def e_arap(prev: GaussianSet, cur: GaussianSet, graph: NeighborGraph) -> EnergyE
     if graph.indices.size and graph.indices.max() >= n:
         raise InvalidArgumentError("graph references kernels beyond the set")
 
-    value, e, a, _, (q_hat, q_norm, prev_inv) = _arap_residual(
+    value, we, a, _, (q_hat, q_norm, prev_inv) = _arap_residual(
         prev, cur.positions, cur.rotations, graph)
-    we = 2.0 * graph.weights[:, :, None] * e
 
     # each edge pulls +we on kernel i and -we on neighbour idx; one bincount over (kernel, axis)
     slots = (graph.indices[:, :, None] * 3 + np.arange(3)).ravel()
@@ -81,12 +80,13 @@ def e_arap(prev: GaussianSet, cur: GaussianSet, graph: NeighborGraph) -> EnergyE
 
 def _arap_residual(prev: GaussianSet, positions: np.ndarray, rotations: np.ndarray,
                    graph: NeighborGraph):
-    """Value and edge residuals of ``e_arap`` at current positions and raw rotations; unchecked.
+    """Value and weighted edge residuals of ``e_arap`` for raw rotations; unchecked.
 
-    Returns (value, e, a, rotated, (q_hat, |q|, prev^-1)): ``a`` holds the previous
-    edge offsets (N,k,3), ``rotated`` is a R^T with R the relative rotation
-    R(q_hat) of q = rotations (x) prev^-1, and e = rotated - b with b the current
-    edge offsets. The tracker's solver shares it, so both log the same value.
+    Returns (value, 2 w e, a, rotated, (q_hat, |q|, prev^-1)): ``a`` holds the
+    previous edge offsets (N,k,3), ``rotated`` is a R^T with R the relative
+    rotation R(q_hat) of q = rotations (x) prev^-1, and e = rotated - b with b
+    the current edge offsets. The tracker's solver shares it, so both log the
+    same value.
     """
     # prev^-1 = conj(prev)/|prev|^2; GaussianSet guarantees a non-zero norm
     prev_q = prev.rotations
@@ -97,8 +97,8 @@ def _arap_residual(prev: GaussianSet, positions: np.ndarray, rotations: np.ndarr
     # matmul is several times faster with a contiguous right operand than with a view
     rotated = a @ np.ascontiguousarray(delta_rot.transpose(0, 2, 1))
     e = rotated - (np.take(positions, idx, axis=0) - positions[:, None, :])
-    value = float(np.sum(graph.weights[:, :, None] * e * e))
-    return value, e, a, rotated, (q_hat, q_norm, prev_inv)
+    we = 2.0 * graph.weights[:, :, None] * e
+    return 0.5 * float(np.sum(we * e)), we, a, rotated, (q_hat, q_norm, prev_inv)
 
 
 def e_iso(gset: GaussianSet, ratio_limit: float = 4.0) -> EnergyEval:

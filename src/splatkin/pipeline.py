@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
 import scipy.linalg
 import scipy.sparse
 
@@ -456,6 +455,8 @@ def track_sequence(canonical: GaussianSet, targets: list[PointCloud],
     """
     if canonical.role is not Role.MOTION:
         raise InvalidArgumentError("tracking expects a motion-role set")
+    if cfg.iterations_track < 1:
+        raise InvalidArgumentError("iterations_track must be >= 1")
     graph = knn_build(canonical.positions, canonical.positions, cfg.k_neighbors,
                       cfg.length_scale, normalize=False)
     laplacian = _Laplacian.of(graph)

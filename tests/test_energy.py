@@ -181,8 +181,8 @@ class TestDataPoints:
         # order of summation differs, so the two agree to rounding only
         rng = np.random.default_rng(100 + seed)
         g = _rand_set(n, seed=seed)
-        cloud = PointCloud(points=g.positions[rng.integers(0, n, m)] + 0.1 * rng.normal(size=(m, 3)),
-                           colors=rng.random((m, 3)))
+        near = g.positions[rng.integers(0, n, m)] + 0.1 * rng.normal(size=(m, 3))
+        cloud = PointCloud(points=near, colors=rng.random((m, 3)))
         out = e_data_points(g, cloud)
         _, nn_fwd = cKDTree(cloud.points).query(g.positions)
         _, nn_bwd = cKDTree(g.positions).query(cloud.points)

@@ -345,6 +345,8 @@ class TestTrackSequence:
         # the start, one solver step, and the re-logged best
         assert [row[0] for row in trace.rows] == [0, 1, 2]
         assert trace.rows[2][1:] == min(trace.rows[:2], key=lambda row: row[-1])[1:]
+        with pytest.raises(InvalidArgumentError, match="iterations_track"):
+            track_sequence(sc.motion_set(), [frames[0].motion], _fast_track_cfg(iterations_track=0))
 
     def test_fitted_target_stops_within_patience(self):
         sc = make_scene("twolink", 60, 40, seed=19)
