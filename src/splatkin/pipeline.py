@@ -431,7 +431,8 @@ def _track_frame(prev: GaussianSet, cloud: PointCloud, graph: NeighborGraph,
         if it == steps or it - since >= PATIENCE:
             break
         # zero gradient of the energy with matches and rotations held:
-        # (L + diag(1/n + count/m)) p = y/n + (sum of matched points)/m + r
+        # (L + diag(1/n + count/m)) p = y/n + (sum of matched points)/m + r,
+        # where each edge adds its w R a to r at its neighbour and takes it at its kernel
         wr = w[:, :, None] * rotated
         rhs = (cloud.points[nn_fwd] / n
                + np.bincount((nn_bwd[:, None] * 3 + np.arange(3)).ravel(),
