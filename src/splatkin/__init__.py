@@ -33,14 +33,12 @@ from .errors import (
 )
 from .morton import (
     AttributeMap,
-    Box,
     MortonMapping,
     build_mapping,
     locality_score,
     morton_decode,
     morton_encode,
     pack_map,
-    quantize,
     unpack_map,
 )
 from .render import OrthoCamera, RenderOutput, splat

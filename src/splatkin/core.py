@@ -7,6 +7,7 @@ construction; optimization loops derive new sets via ``GaussianSet.replace``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -115,19 +116,7 @@ class GaussianSet:
 
     def replace(self, **kwargs) -> "GaussianSet":
         """Build a new set with some fields swapped out (arrays are re-validated)."""
-        fields = dict(
-            positions=self.positions,
-            rotations=self.rotations,
-            log_scales=self.log_scales,
-            opacities=self.opacities,
-            colors=self.colors,
-            role=self.role,
-            frame=self.frame,
-            labels=self.labels,
-            label_names=self.label_names,
-        )
-        fields.update(kwargs)
-        return GaussianSet(**fields)
+        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass

@@ -23,10 +23,14 @@ from .core import (
     _unit_rotation,
 )
 from .errors import InvalidArgumentError
-from .render import OrthoCamera, _footprints, _transmittance, world_covariances
+from .render import _footprints, _transmittance, world_covariances
 
 # keeps the leave-one-out coverage gradient finite for fully opaque kernels
 _OPACITY_CEILING = 1.0 - 1e-9
+# e_iso penalises a longest axis beyond this many times the shortest
+_ISO_RATIO_LIMIT = 4.0
+# e_size penalises an extent beyond this many times the population mean
+_SIZE_ALPHA = 2.0
 
 
 @dataclass
@@ -101,14 +105,12 @@ def _arap_residual(prev: GaussianSet, positions: np.ndarray, rotations: np.ndarr
     return 0.5 * float(np.sum(we * e)), we, a, rotated, (q_hat, q_norm, prev_inv)
 
 
-def e_iso(gset: GaussianSet, ratio_limit: float = 4.0) -> EnergyEval:
+def e_iso(gset: GaussianSet) -> EnergyEval:
     """Mean ReLU penalty on per-kernel scale anisotropy.
 
-    (1/N) sum_i ReLU(exp(max(s_i) - min(s_i)) - ratio_limit): zero whenever the
-    longest axis stays within ratio_limit times the shortest.
+    (1/N) sum_i ReLU(exp(max(s_i) - min(s_i)) - 4): zero whenever the longest
+    axis stays within 4 (``_ISO_RATIO_LIMIT``) times the shortest.
     """
-    if ratio_limit <= 0.0:
-        raise InvalidArgumentError("ratio_limit must be positive")
     n = len(gset)
     if n == 0:
         raise InvalidArgumentError("empty set")
@@ -117,8 +119,8 @@ def e_iso(gset: GaussianSet, ratio_limit: float = 4.0) -> EnergyEval:
     lo = np.argmin(s, axis=1)
     rows = np.arange(n)
     ratio = np.exp(s[rows, hi] - s[rows, lo])
-    active = ratio > ratio_limit
-    value = float(np.sum(np.where(active, ratio - ratio_limit, 0.0)) / n)
+    active = ratio > _ISO_RATIO_LIMIT
+    value = float(np.sum(np.where(active, ratio - _ISO_RATIO_LIMIT, 0.0)) / n)
     grad_s = np.zeros_like(s)
     coeff = np.where(active, ratio, 0.0) / n
     # one hi and one lo entry per row; where all three scales tie they cancel to 0.0
@@ -127,21 +129,20 @@ def e_iso(gset: GaussianSet, ratio_limit: float = 4.0) -> EnergyEval:
     return EnergyEval(value=value, grad_s=grad_s)
 
 
-def e_size(gset: GaussianSet, alpha: float = 2.0, frozen_mean=None) -> EnergyEval:
+def e_size(gset: GaussianSet, frozen_mean=None) -> EnergyEval:
     """ReLU penalty on kernels outgrowing the population.
 
-    sum over kernels and axes of ReLU(exp(s) - alpha * mean(exp(s))) where the
-    per-axis mean is a stop-gradient: gradients flow through each kernel's own
-    scale only. ``frozen_mean`` pins the mean explicitly, which is how the
-    finite-difference oracle checks exactly these semantics.
+    sum over kernels and axes of ReLU(exp(s) - 2 mean(exp(s))), 2 being
+    ``_SIZE_ALPHA``, where the per-axis mean is a stop-gradient: gradients flow
+    through each kernel's own scale only. ``frozen_mean`` pins the mean
+    explicitly, which is how the finite-difference oracle checks exactly these
+    semantics.
     """
-    if alpha <= 0.0:
-        raise InvalidArgumentError("alpha must be positive")
     if len(gset) == 0:
         raise InvalidArgumentError("empty set")
     extents = np.exp(gset.log_scales)
     mean = extents.mean(axis=0) if frozen_mean is None else np.asarray(frozen_mean, dtype=np.float64)
-    excess = extents - alpha * mean
+    excess = extents - _SIZE_ALPHA * mean
     active = excess > 0.0
     value = float(np.sum(np.where(active, excess, 0.0)))
     grad_s = np.where(active, extents, 0.0)

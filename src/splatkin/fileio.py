@@ -257,26 +257,16 @@ def _quantize_u8(values: np.ndarray) -> np.ndarray:
     return np.floor(np.clip(values, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
 
 
-def write_ppm(path, rgb: np.ndarray) -> None:
-    """Binary P6, maxval 255, from (H,W,3) floats in [0,1]."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise InvalidArgumentError(f"need (H,W,3) data, got {rgb.shape}")
-    h, w = rgb.shape[:2]
+def _write_pnm(path, magic: bytes, data) -> None:
+    """Binary P6 from (H,W,3) or P5 from (H,W) floats in [0,1], maxval 255."""
+    data = np.asarray(data, dtype=np.float64)
+    trailing = (3,) if magic == b"P6" else ()
+    if data.ndim < 2 or data.shape[2:] != trailing:
+        raise InvalidArgumentError(f"need (H,W{',3' * len(trailing)}) data, got {data.shape}")
+    h, w = data.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_quantize_u8(rgb).tobytes())
-
-
-def write_pgm(path, gray: np.ndarray) -> None:
-    """Binary P5, maxval 255, from (H,W) floats in [0,1]."""
-    gray = np.asarray(gray, dtype=np.float64)
-    if gray.ndim != 2:
-        raise InvalidArgumentError(f"need (H,W) data, got {gray.shape}")
-    h, w = gray.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_quantize_u8(gray).tobytes())
+        fh.write(b"%s\n%d %d\n255\n" % (magic, w, h))
+        fh.write(_quantize_u8(data).tobytes())
 
 
 def _read_pnm(path, magic: bytes, samples: int) -> np.ndarray:
@@ -301,6 +291,14 @@ def _read_pnm(path, magic: bytes, samples: int) -> np.ndarray:
     data = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
     shape = (h, w, samples) if samples > 1 else (h, w)
     return data.reshape(shape)
+
+
+def write_ppm(path, rgb: np.ndarray) -> None:
+    _write_pnm(path, b"P6", rgb)
+
+
+def write_pgm(path, gray: np.ndarray) -> None:
+    _write_pnm(path, b"P5", gray)
 
 
 def read_ppm(path) -> np.ndarray:

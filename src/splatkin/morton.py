@@ -82,51 +82,6 @@ def morton_decode(code) -> tuple:
 
 
 @dataclass
-class Box:
-    """Axis-aligned bounds with strictly positive extent on every axis."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        self.lo = _frozen(self.lo, "Box lo")
-        self.hi = _frozen(self.hi, "Box hi")
-        if self.lo.shape != (3,) or self.hi.shape != (3,):
-            raise InvalidArgumentError("Box bounds must be 3-vectors")
-        if np.any(self.hi <= self.lo):
-            raise InvalidArgumentError("Box must have positive extent on all axes")
-
-    @property
-    def extent(self) -> np.ndarray:
-        return self.hi - self.lo
-
-
-def quantize(positions, bbox: Box, bits: int) -> tuple[np.ndarray, int]:
-    """Map positions onto the 2^bits grid: floor((p - lo)/extent * 2^bits).
-
-    Values landing outside [0, 2^bits - 1] (including the max face) are
-    clamped; the count of clamped coordinates is returned alongside.
-    """
-    if not (1 <= bits <= MAX_BITS):
-        raise InvalidArgumentError(f"bits must lie in [1, {MAX_BITS}], got {bits}")
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
-    squeeze = positions.ndim == 1
-    if squeeze:
-        positions = positions[None, :]
-    if positions.ndim != 2 or positions.shape[1] != 3:
-        raise InvalidArgumentError(f"positions must be (N,3), got {positions.shape}")
-    if not np.all(np.isfinite(positions)):
-        raise InvalidArgumentError("positions contain non-finite values")
-    side = 1 << bits
-    cells = np.floor((positions - bbox.lo) / bbox.extent * side).astype(np.int64)
-    clamped = int(np.count_nonzero((cells < 0) | (cells > side - 1)))
-    cells = np.clip(cells, 0, side - 1)
-    if squeeze:
-        return cells[0], clamped
-    return cells, clamped
-
-
-@dataclass
 class MortonMapping:
     """Frozen kernel-to-pixel assignment.
 
@@ -195,9 +150,11 @@ def _mapping_from_order(order: np.ndarray, resolution: tuple[int, int],
 def build_mapping(positions, resolution: tuple[int, int] = (512, 512), bits: int = 10) -> MortonMapping:
     """Build the canonical Morton layout for a kernel set.
 
-    The bbox is the tight canonical bound expanded by 1e-6 per axis; ranks are
-    assigned by (morton code, kernel index) ascending and laid out row-major:
-    rank r -> pixel (r mod W, r div W).
+    The bbox is the tight canonical bound expanded by 1e-6 per axis. Positions
+    map to the cells floor((p - lo)/extent * 2^bits), clamped to the grid; the
+    mapping's ``clamp_count`` counts the clamped coordinates. Ranks are assigned
+    by (morton code, kernel index) ascending and laid out row-major: rank r ->
+    pixel (r mod W, r div W).
     """
     positions = np.ascontiguousarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
@@ -213,9 +170,17 @@ def build_mapping(positions, resolution: tuple[int, int] = (512, 512), bits: int
         raise CapacityError(
             f"{n} kernels exceed map capacity {w}x{h}={w * h}; needs at least {side}x{side}"
         )
+    if not (1 <= bits <= MAX_BITS):
+        raise InvalidArgumentError(f"bits must lie in [1, {MAX_BITS}], got {bits}")
     lo = positions.min(axis=0) - 1e-6
     hi = positions.max(axis=0) + 1e-6
-    cells, clamp_count = quantize(positions, Box(lo=lo, hi=hi), bits)
+    extent = hi - lo
+    if np.any(extent <= 0.0):
+        raise InvalidArgumentError("the bounding box must have positive extent on all axes")
+    side = 1 << bits
+    cells = np.floor((positions - lo) / extent * side).astype(np.int64)
+    clamp_count = int(np.count_nonzero((cells < 0) | (cells > side - 1)))
+    cells = np.clip(cells, 0, side - 1)
     codes = morton_encode(cells[:, 0], cells[:, 1], cells[:, 2])
     order = np.lexsort((np.arange(n), codes))
     return _mapping_from_order(order, (w, h), clamp_count=clamp_count)

@@ -106,10 +106,9 @@ def _project(positions: np.ndarray, cov3: np.ndarray, camera: OrthoCamera):
 class _Footprints:
     """Per-kernel pixel footprints as flat entries (internal; shared with the mask energy).
 
-    Each kept kernel has its own (2*half+1)^2 window around its mean. The
-    entries are the window pixels inside the image and the truncation ellipse,
-    kernel-major in ``kept`` order and in window order (y outer, x inner)
-    within a kernel. Slots are the window pixels tested for that.
+    The entries of a kept kernel are the image pixels whose centres lie inside
+    its truncation ellipse, kernel-major in ``kept`` order and row-major (y outer,
+    x inner) within a kernel. Slots are the pixels tested for that.
     """
 
     kept: np.ndarray  # (K,) original kernel indices
@@ -151,24 +150,16 @@ def _footprints(gset: GaussianSet, cov3: np.ndarray, camera: OrthoCamera,
     inv[:, 0, 1] = inv[:, 1, 0] = -covs[kept, 0, 1] / det_k
     opac = np.minimum(gset.opacities[kept], opacity_ceiling)
 
-    # each kernel's own window: (2*half+1)^2 pixels around its mean's pixel
-    radius_px = truncation_radius * np.sqrt(lam_max[kept])
-    half = np.ceil(radius_px + 0.5).astype(np.int64)
-    half = np.minimum(half, max(w_px, h_px))  # no point windowing beyond the image
-    base_x = np.round(mu[:, 0] - 0.5).astype(np.int64)
-    base_y = np.round(mu[:, 1] - 0.5).astype(np.int64)
-
-    # Only window pixels inside the image and near the truncation ellipse become
-    # slots: the lines (pixel rows, y outer) it crosses, and on each line its x
-    # span. Both come from the ellipse widened by _SPAN_SLACK, so every pixel the
-    # qform test below can accept is a slot and the entries are those of the
-    # whole window. A kernel without opacity has no lines.
+    # Only image pixels near the truncation ellipse become slots: the lines (pixel
+    # rows, y outer) it crosses, and on each line its x span. Both come from the
+    # ellipse widened by _SPAN_SLACK, so every pixel the qform test below can
+    # accept is a slot. A kernel without opacity has no lines.
     sxy = covs[kept, 0, 1]
     syy = covs[kept, 1, 1]
     reach_r2 = _SPAN_SLACK * truncation_radius**2
     y_reach = np.sqrt(reach_r2 * syy)
-    y0 = np.maximum(np.maximum(np.floor(mu[:, 1] - 0.5 - y_reach), base_y - half), 0)
-    y1 = np.minimum(np.minimum(np.ceil(mu[:, 1] - 0.5 + y_reach), base_y + half), h_px - 1)
+    y0 = np.maximum(np.floor(mu[:, 1] - 0.5 - y_reach), 0)
+    y1 = np.minimum(np.ceil(mu[:, 1] - 0.5 + y_reach), h_px - 1)
     ny = np.where(opac > 0.0, np.maximum(y1 - y0 + 1, 0), 0).astype(np.int64)
 
     line_row = np.repeat(np.arange(kept.size), ny)
@@ -179,8 +170,8 @@ def _footprints(gset: GaussianSet, cov3: np.ndarray, camera: OrthoCamera,
     reach = np.sqrt(np.maximum(reach_sq, 0.0))
     line_mu_x = np.repeat(mu[:, 0], ny)
     center = line_mu_x - 0.5 + np.repeat(sxy / syy, ny) * line_dy
-    lo = np.maximum(np.floor(center - reach), np.repeat(np.maximum(base_x - half, 0), ny))
-    hi = np.minimum(np.ceil(center + reach), np.repeat(np.minimum(base_x + half, w_px - 1), ny))
+    lo = np.maximum(np.floor(center - reach), 0)
+    hi = np.minimum(np.ceil(center + reach), w_px - 1)
     line_len = np.where(reach_sq >= 0.0, np.maximum(hi - lo + 1, 0), 0).astype(np.int64)
 
     slot_row = np.repeat(line_row, line_len)

@@ -67,6 +67,8 @@ class SyntheticScene:
     # -- deformation ------------------------------------------------------
 
     def validate_value(self, value: float):
+        if not np.isfinite(value):
+            raise InvalidArgumentError(f"deformation amplitude must be finite, got {value}")
         if self.kind == "cylinder":
             if abs(value) * self.params["radius"] >= CURVATURE_MARGIN:
                 raise InvalidArgumentError(
@@ -234,6 +236,8 @@ def make_twolink_scene(n_motion: int, n_appearance: int, seed: int,
     for v in (base_length, limb_length, base_radius, limb_radius, tip_radius):
         if v <= 0.0:
             raise InvalidArgumentError("all two-link dimensions must be positive")
+    if n_motion < 3 or n_appearance < 3:
+        raise InvalidArgumentError("need at least three samples per tier, one per part")
     label_names = ("base", "limb", "tip")
     reach = limb_length + tip_radius
     # bounds wide enough for any bend within the validity limit

@@ -76,7 +76,6 @@ def padded_footprints(gset: GaussianSet, camera: OrthoCamera, truncation_radius:
 
     radius_px = truncation_radius * np.sqrt(lam_max[kept])
     half = np.ceil(radius_px + 0.5).astype(np.int64)
-    half = np.minimum(half, max(w_px, h_px))  # no point windowing beyond the image
     hw = int(half.max()) if half.size else 0
     side = 2 * hw + 1
     offs = np.arange(-hw, hw + 1)

@@ -5,9 +5,7 @@ pipeline runs are shared through module-scoped fixtures; all seeds are pinned
 so the measured numbers are reproducible.
 """
 
-import hashlib
 import io
-import os
 import time
 from contextlib import redirect_stdout
 
@@ -15,7 +13,6 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from splatkin.cli import main
 from splatkin.core import PointCloud, knn_build
 from splatkin.energy import e_arap
 from splatkin.fileio import read_gmap, read_trace, write_gmap, write_trace
@@ -39,6 +36,8 @@ from splatkin.pipeline import (
 from splatkin.render import OrthoCamera
 from splatkin.synth import animate, make_scene
 from splatkin.warp import assemble, disassemble, relative_motion, warp_appearance
+
+from _cli_chain import build_chain, run_cli, tree_digest
 
 
 def _chamfer(a: np.ndarray, b: np.ndarray) -> float:
@@ -331,96 +330,20 @@ def test_criterion_7_cross_performer_transfer(cross_performer):
             f"rigidity within 1.5x of warp start: {arap_ok}")
 
 
-_CLI_CONFIG = """\
-iterations_init=20
-iterations_track=12
-iterations_align=25
-iterations_transfer=12
-l=0.05
-k_neighbors=4
-map_width=16
-map_height=16
-quant_bits=6
-clusters_per_label=3
-"""
-
-
-def _cli(*argv) -> int:
-    return main([str(a) for a in argv])
-
-
-def _cli_chain(root):
-    cfg = root / "run.cfg"
-    cfg.write_text(_CLI_CONFIG)
-    synth = root / "synth"
-    assert _cli("synth", "--kind", "twolink", "--out", synth, "--frames", 3,
-                "--amplitude", 0.3, "--n-motion", 60, "--n-appearance", 150,
-                "--seed", 5) == 0
-    assert _cli("init", "--config", cfg, "--input",
-                synth / "appearance_canonical.gset",
-                "--target", synth / "frames" / "surface_0001.gset",
-                "--out", root / "init.gset", "--trace", root / "trace_init.csv") == 0
-    assert _cli("track", "--config", cfg, "--canonical",
-                synth / "motion_canonical.gset", "--targets", synth / "frames",
-                "--pattern", "target_*.gset", "--out-dir", root / "track") == 0
-    assert _cli("warp", "--config", cfg, "--appearance",
-                synth / "appearance_canonical.gset",
-                "--canonical", synth / "motion_canonical.gset",
-                "--deformed", root / "track" / "motion_0002.gset",
-                "--out", root / "warped.gset") == 0
-    assert _cli("map", "--config", cfg, "--input",
-                synth / "appearance_canonical.gset",
-                "--out", root / "mapping.uvm") == 0
-    assert _cli("regress", "--config", cfg, "--mapping", root / "mapping.uvm",
-                "--appearance", synth / "appearance_canonical.gset",
-                "--canonical", synth / "motion_canonical.gset",
-                "--deformed", root / "track" / "motion_0002.gset",
-                "--out-dir", root / "maps") == 0
-    assert _cli("align", "--config", cfg, "--source",
-                synth / "appearance_canonical.gset",
-                "--source-labels", synth / "appearance_labels.csv",
-                "--driver", synth / "appearance_canonical.gset",
-                "--driver-labels", synth / "appearance_labels.csv",
-                "--out", root / "aligned.gset", "--trace",
-                root / "trace_align.csv", "--mask-resolution", 24) == 0
-    assert _cli("transfer", "--config", cfg, "--aligned", root / "aligned.gset",
-                "--source-canonical", synth / "appearance_canonical.gset",
-                "--driver-canonical", synth / "motion_canonical.gset",
-                "--driver-frames", root / "track", "--pattern", "motion_*.gset",
-                "--out-dir", root / "transfer") == 0
-    assert _cli("render", "--input", root / "warped.gset",
-                "--out", root / "render.ppm", "--alpha", root / "alpha.pgm",
-                "--resolution", 32) == 0
-    assert _cli("locality", "--config", cfg, "--input",
-                synth / "appearance_canonical.gset",
-                "--out", root / "locality.csv") == 0
-
-
-def _tree_digest(root) -> dict:
-    out = {}
-    for dirpath, _, names in os.walk(root):
-        for name in names:
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as fh:
-                out[os.path.relpath(path, root)] = hashlib.sha256(
-                    fh.read()).hexdigest()
-    return out
-
-
 def test_criterion_8_cli_determinism(tmp_path):
     digests = []
     for name in ("a", "b", "c"):
         root = tmp_path / name
         root.mkdir()
-        _cli_chain(root)
-        digests.append(_tree_digest(root))
+        build_chain(root)
+        digests.append(tree_digest(root))
     trees_equal = digests[0] == digests[1] == digests[2]
 
     reports = []
     for _ in range(2):
         buf = io.StringIO()
         with redirect_stdout(buf):
-            assert _cli("gradcheck", "--seed", 3, "--instances", 2) == 0
+            assert run_cli("gradcheck", "--seed", 3, "--instances", 2) == 0
         reports.append(buf.getvalue())
     ok = trees_equal and reports[0] == reports[1]
     _report(8, "byte-identical determinism", ok,

@@ -1,11 +1,14 @@
 """End-to-end command-line tests: full tool chain, determinism, exit codes."""
 
-import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splatkin
 from splatkin.cli import build_parser, main
 from splatkin.render import MAX_RESOLUTION
 from splatkin.fileio import (
@@ -18,93 +21,13 @@ from splatkin.fileio import (
     read_trace,
 )
 
-CONFIG = """\
-# fast settings for tests
-iterations_init=20
-iterations_track=12
-iterations_align=25
-iterations_transfer=12
-l=0.05
-k_neighbors=4
-map_width=16
-map_height=16
-quant_bits=6
-clusters_per_label=3
-"""
-
-
-def _run(*argv) -> int:
-    return main([str(a) for a in argv])
-
-
-def _build_chain(root):
-    """Drive every subcommand once; returns the directory layout."""
-    cfg = root / "test.cfg"
-    cfg.write_text(CONFIG)
-    synth = root / "synth"
-    rc = _run("synth", "--kind", "twolink", "--out", synth, "--frames", 3,
-              "--amplitude", 0.3, "--n-motion", 60, "--n-appearance", 150,
-              "--seed", 5)
-    assert rc == 0
-    rc = _run("init", "--config", cfg, "--input", synth / "appearance_canonical.gset",
-              "--target", synth / "frames" / "surface_0001.gset",
-              "--out", root / "init.gset", "--trace", root / "trace_init.csv")
-    assert rc == 0
-    rc = _run("track", "--config", cfg, "--canonical", synth / "motion_canonical.gset",
-              "--targets", synth / "frames", "--pattern", "target_*.gset",
-              "--out-dir", root / "track")
-    assert rc == 0
-    rc = _run("warp", "--config", cfg, "--appearance", synth / "appearance_canonical.gset",
-              "--canonical", synth / "motion_canonical.gset",
-              "--deformed", root / "track" / "motion_0001.gset",
-              "--out", root / "warped_0001.gset")
-    assert rc == 0
-    rc = _run("map", "--config", cfg, "--input", synth / "appearance_canonical.gset",
-              "--out", root / "mapping.uvm")
-    assert rc == 0
-    rc = _run("regress", "--config", cfg, "--mapping", root / "mapping.uvm",
-              "--appearance", synth / "appearance_canonical.gset",
-              "--canonical", synth / "motion_canonical.gset",
-              "--deformed", root / "track" / "motion_0001.gset",
-              "--out-dir", root / "maps")
-    assert rc == 0
-    rc = _run("align", "--config", cfg, "--source", synth / "appearance_canonical.gset",
-              "--source-labels", synth / "appearance_labels.csv",
-              "--driver", synth / "appearance_canonical.gset",
-              "--driver-labels", synth / "appearance_labels.csv",
-              "--out", root / "aligned.gset", "--trace", root / "trace_align.csv",
-              "--mask-resolution", 24)
-    assert rc == 0
-    rc = _run("transfer", "--config", cfg, "--aligned", root / "aligned.gset",
-              "--source-canonical", synth / "appearance_canonical.gset",
-              "--driver-canonical", synth / "motion_canonical.gset",
-              "--driver-frames", root / "track", "--pattern", "motion_*.gset",
-              "--out-dir", root / "transfer")
-    assert rc == 0
-    rc = _run("render", "--input", root / "warped_0001.gset",
-              "--out", root / "render.ppm", "--alpha", root / "alpha.pgm",
-              "--resolution", 32)
-    assert rc == 0
-    rc = _run("locality", "--config", cfg, "--input", synth / "appearance_canonical.gset",
-              "--out", root / "locality.csv")
-    assert rc == 0
-
-
-def _tree_digest(root) -> dict:
-    out = {}
-    for dirpath, _, names in os.walk(root):
-        for name in names:
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, root)
-            with open(path, "rb") as fh:
-                out[rel] = hashlib.sha256(fh.read()).hexdigest()
-    return out
+from _cli_chain import build_chain, run_cli
 
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
     root = tmp_path_factory.mktemp("chain")
-    _build_chain(root)
+    build_chain(root)
     return root
 
 
@@ -180,21 +103,10 @@ class TestChainOutputs:
 
 
 class TestDeterminism:
-    def test_rerun_is_byte_identical(self, tmp_path):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        a.mkdir()
-        b.mkdir()
-        _build_chain(a)
-        _build_chain(b)
-        da = _tree_digest(a)
-        db = _tree_digest(b)
-        assert da == db
-
     def test_seed_changes_output(self, tmp_path):
         for seed, name in ((7, "s7"), (8, "s8")):
             out = tmp_path / name
-            assert _run("synth", "--kind", "cylinder", "--out", out, "--frames", 2,
+            assert run_cli("synth", "--kind", "cylinder", "--out", out, "--frames", 2,
                         "--amplitude", 0.5, "--n-motion", 30, "--n-appearance", 50,
                         "--seed", seed) == 0
         one = (tmp_path / "s7" / "motion_canonical.gset").read_bytes()
@@ -205,7 +117,7 @@ class TestDeterminism:
 @pytest.fixture(scope="module")
 def small_scene(tmp_path_factory):
     out = tmp_path_factory.mktemp("scene")
-    assert _run("synth", "--kind", "twolink", "--out", out, "--frames", 1,
+    assert run_cli("synth", "--kind", "twolink", "--out", out, "--frames", 1,
                 "--amplitude", 0.1, "--n-motion", 20, "--n-appearance", 30) == 0
     return out
 
@@ -241,14 +153,14 @@ def _map_16(scene, tmp_path):
     cfg = tmp_path / "map16.cfg"
     cfg.write_text("map_width=16\nmap_height=16\n")
     mapping = tmp_path / "mapping.uvm"
-    assert _run("map", "--config", cfg, "--input", scene / "appearance_canonical.gset",
+    assert run_cli("map", "--config", cfg, "--input", scene / "appearance_canonical.gset",
                 "--out", mapping) == 0
     return mapping
 
 
 class TestExitCodes:
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
-        rc = _run("render", "--input", tmp_path / "nope.gset", "--out", tmp_path / "x.ppm")
+        rc = run_cli("render", "--input", tmp_path / "nope.gset", "--out", tmp_path / "x.ppm")
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -258,7 +170,7 @@ class TestExitCodes:
         path = tmp_path / "old.gset"
         path.write_text("GSET 1\nrole appearance\nframe 0\ncount 1\ncolor_channels 3\n"
                         "0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 -1.0 -1.0 -1.0 0.5 0.5 0.5 0.5\n")
-        rc = _run("render", "--input", path, "--out", tmp_path / "x.ppm")
+        rc = run_cli("render", "--input", path, "--out", tmp_path / "x.ppm")
         assert rc == 1
         _assert_one_error_line(capsys)
         assert not (tmp_path / "x.ppm").exists()
@@ -269,7 +181,7 @@ class TestExitCodes:
         path = tmp_path / "bad.gset"
         path.write_bytes(blob)
         capsys.readouterr()
-        rc = _run("render", "--input", path, "--out", tmp_path / "x.ppm")
+        rc = run_cli("render", "--input", path, "--out", tmp_path / "x.ppm")
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -277,11 +189,11 @@ class TestExitCodes:
 
     def test_empty_target_dir_is_runtime_error(self, tmp_path, capsys):
         gset = tmp_path / "c.gset"
-        _run("synth", "--kind", "twolink", "--out", tmp_path / "s", "--frames", 1,
+        run_cli("synth", "--kind", "twolink", "--out", tmp_path / "s", "--frames", 1,
              "--amplitude", 0.1, "--n-motion", 20, "--n-appearance", 30)
         empty = tmp_path / "empty"
         empty.mkdir()
-        rc = _run("track", "--canonical", tmp_path / "s" / "motion_canonical.gset",
+        rc = run_cli("track", "--canonical", tmp_path / "s" / "motion_canonical.gset",
                   "--targets", empty, "--out-dir", tmp_path / "out")
         assert rc == 1
         assert "no files matching" in capsys.readouterr().err
@@ -290,7 +202,7 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("warp_speed=9\n")
         # config parsing happens before any input is opened
-        rc = _run("map", "--config", cfg, "--input", tmp_path / "absent.gset",
+        rc = run_cli("map", "--config", cfg, "--input", tmp_path / "absent.gset",
                   "--out", tmp_path / "m.uvm")
         assert rc == 1
         assert "unknown key" in capsys.readouterr().err
@@ -298,7 +210,7 @@ class TestExitCodes:
     def test_removed_config_key_is_runtime_error(self, tmp_path, capsys):
         cfg = tmp_path / "old.cfg"
         cfg.write_text("lr_opacity=0.01\n")
-        rc = _run("init", "--config", cfg, "--input", tmp_path / "a.gset",
+        rc = run_cli("init", "--config", cfg, "--input", tmp_path / "a.gset",
                   "--target", tmp_path / "b.gset", "--out", tmp_path / "c.gset",
                   "--trace", tmp_path / "t.csv")
         assert rc == 1
@@ -317,7 +229,7 @@ class TestExitCodes:
         cfg = tmp_path / "other.cfg"
         cfg.write_text(config)
         capsys.readouterr()
-        assert _run(*_regress_args(small_scene, mapping, cfg, tmp_path / "maps")) == 1
+        assert run_cli(*_regress_args(small_scene, mapping, cfg, tmp_path / "maps")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"mapping is for a 16x16 map, expected {expected}" in err
@@ -334,7 +246,7 @@ class TestExitCodes:
             "duplicate": blob[:-16] + blob[24:40],  # the last kernel on the first one's pixel
         }[fault])
         capsys.readouterr()
-        assert _run(*_regress_args(small_scene, mapping, tmp_path / "map16.cfg",
+        assert run_cli(*_regress_args(small_scene, mapping, tmp_path / "map16.cfg",
                                    tmp_path / "maps")) == 1
         _assert_one_error_line(capsys)
 
@@ -346,7 +258,7 @@ class TestExitCodes:
                 "map": ("--input", small_scene / "appearance_canonical.gset",
                         "--out", tmp_path / "m.uvm")}[command]
         capsys.readouterr()
-        assert _run(command, *argv, flag, small_scene / "motion_canonical.gset") == 1
+        assert run_cli(command, *argv, flag, small_scene / "motion_canonical.gset") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "motion_canonical.gset: not UTF-8 text" in err
@@ -359,7 +271,7 @@ class TestExitCodes:
         path = tmp_path / "huge.gset"
         path.write_bytes(blob)
         capsys.readouterr()
-        assert _run("render", "--input", path, "--out", tmp_path / "x.ppm") == 1
+        assert run_cli("render", "--input", path, "--out", tmp_path / "x.ppm") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "huge.gset: rotations contain a quaternion whose norm overflows" in err
@@ -370,12 +282,13 @@ class TestExitCodes:
         ("render", "--window", "inf"),
         ("synth", "--anisotropy", "inf"),
         ("synth", "--anisotropy", "nan"),
+        ("synth", "--amplitude", "nan"),
         ("align", "--window-scale", "inf"),
     ])
     def test_non_finite_number_is_runtime_error(self, small_scene, tmp_path, capsys,
                                                 command, flag, value):
         capsys.readouterr()
-        rc = _run(command, *_inputs(command, small_scene, tmp_path), flag, value)
+        rc = run_cli(command, *_inputs(command, small_scene, tmp_path), flag, value)
         assert rc == 1
         _assert_one_error_line(capsys)
 
@@ -389,17 +302,36 @@ class TestExitCodes:
             "amplitude-beyond-bend"])
     def test_bad_synth_argument_writes_nothing(self, small_scene, tmp_path, capsys, extra):
         capsys.readouterr()
-        rc = _run("synth", *_inputs("synth", small_scene, tmp_path), *extra)
+        rc = run_cli("synth", *_inputs("synth", small_scene, tmp_path), *extra)
         assert rc == 1
         _assert_one_error_line(capsys)
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--n-motion", 0), ("--n-appearance", 0),
+                                            ("--n-motion", -3), ("--n-motion", 1),
+                                            ("--n-motion", 2)])
+    def test_too_few_twolink_samples_exit_1(self, tmp_path, flag, value):
+        # a subprocess with a timeout, so a count that hangs fails here instead of
+        # stalling the suite
+        src = str(Path(splatkin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / "s"
+        proc = subprocess.run(
+            [sys.executable, "-m", "splatkin", "synth", "--kind", "twolink", "--out", str(out),
+             "--frames", "1", "--amplitude", "0.1", "--n-motion", "20", "--n-appearance", "30",
+             flag, str(value)],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flag", [("render", "--resolution"),
                                               ("align", "--mask-resolution")])
     def test_resolution_above_cap_is_runtime_error(self, small_scene, tmp_path, capsys,
                                                    command, flag):
         capsys.readouterr()
-        rc = _run(command, *_inputs(command, small_scene, tmp_path), flag, MAX_RESOLUTION + 1)
+        rc = run_cli(command, *_inputs(command, small_scene, tmp_path), flag, MAX_RESOLUTION + 1)
         assert rc == 1
         _assert_one_error_line(capsys)
 
@@ -416,9 +348,9 @@ class TestExitCodes:
         # every required argument points at a missing file: without --seed the
         # command parses and fails at run time, so the usage error is --seed's
         argv = [command, *(a for flag in required for a in (flag, tmp_path / "absent"))]
-        assert _run(*argv) == 1
+        assert run_cli(*argv) == 1
         capsys.readouterr()
-        assert _run(*argv, "--seed", 3) == 2
+        assert run_cli(*argv, "--seed", 3) == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,required", [
@@ -434,15 +366,15 @@ class TestExitCodes:
                                       ("render", "--input", "a", "--out", "b"),
                                       ("gradcheck",)], ids=["map", "render", "gradcheck"])
     def test_threads_is_usage_error(self, capsys, argv):
-        assert _run(*argv, "--threads", 4) == 2
+        assert run_cli(*argv, "--threads", 4) == 2
         assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
     def test_missing_required_argument_is_usage_error(self, capsys):
-        assert _run("init") == 2
+        assert run_cli("init") == 2
         capsys.readouterr()
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
-        assert _run("bogus") == 2
+        assert run_cli("bogus") == 2
         capsys.readouterr()
 
     def test_no_subcommand_is_usage_error(self, capsys):
@@ -452,7 +384,7 @@ class TestExitCodes:
 
 class TestGradcheckCommand:
     def test_reports_every_term_and_passes(self, capsys):
-        rc = _run("gradcheck", "--seed", 3, "--instances", 2)
+        rc = run_cli("gradcheck", "--seed", 3, "--instances", 2)
         out = capsys.readouterr().out.strip().splitlines()
         assert rc == 0
         assert len(out) == 7
@@ -462,14 +394,14 @@ class TestGradcheckCommand:
             assert float(err) < float(limit)
 
     def test_term_subset(self, capsys):
-        rc = _run("gradcheck", "--seed", 3, "--instances", 2, "--terms", "e_arap")
+        rc = run_cli("gradcheck", "--seed", 3, "--instances", 2, "--terms", "e_arap")
         out = capsys.readouterr().out.strip().splitlines()
         assert rc == 0
         assert len(out) == 1
         assert out[0].startswith("e_arap")
 
     def test_unknown_term_is_runtime_error(self, capsys):
-        rc = _run("gradcheck", "--instances", 1, "--terms", "e_arap,e_nope")
+        rc = run_cli("gradcheck", "--instances", 1, "--terms", "e_arap,e_nope")
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
@@ -477,7 +409,7 @@ class TestGradcheckCommand:
         assert "'e_nope'" in captured.err and "e_l2_gauss" in captured.err
 
     def test_zero_instances_is_runtime_error(self, capsys):
-        rc = _run("gradcheck", "--instances", 0)
+        rc = run_cli("gradcheck", "--instances", 0)
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""

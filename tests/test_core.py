@@ -28,7 +28,7 @@ from splatkin.core import (
     quat_to_matrix,
 )
 from splatkin.errors import DegenerateBlendError, InvalidArgumentError
-from splatkin.morton import AttributeMap, Box, MortonMapping
+from splatkin.morton import AttributeMap, MortonMapping
 from splatkin.render import OrthoCamera
 from splatkin.warp import FrameMotion
 
@@ -67,13 +67,12 @@ def _contract_case(name):
                           dict(uv=np.array([[0, 0], [1, 0], [0, 1], [1, 1]]))),
         "OrthoCamera": (lambda **a: OrthoCamera(width=1.0, height=1.0, resolution=(4, 4), **a),
                         dict(rotation=np.eye(3), center=np.zeros(3))),
-        "Box": (Box, dict(lo=np.zeros(3), hi=np.ones(3))),
         "AttributeMap": (AttributeMap, dict(data=np.zeros((2, 2, 3), dtype=np.float32))),
     }[name]
 
 
 @pytest.mark.parametrize("name", ["GaussianSet", "PointCloud", "NeighborGraph", "FrameMotion",
-                                  "MortonMapping", "OrthoCamera", "Box", "AttributeMap"])
+                                  "MortonMapping", "OrthoCamera", "AttributeMap"])
 def test_container_holds_read_only_views_of_caller_arrays(name):
     build, arrays = _contract_case(name)
     obj = build(**arrays)

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from splatkin.errors import CapacityError, InvalidArgumentError
 from splatkin.morton import (
     AttributeMap,
-    Box,
     MortonMapping,
     build_mapping,
     locality_score,
     morton_decode,
     morton_encode,
     pack_map,
-    quantize,
     random_mapping,
     unpack_map,
     y_sort_mapping,
@@ -71,29 +69,37 @@ class TestEncoding:
 
 
 class TestQuantize:
+    """``build_mapping``'s grid cells, seen through the order they give."""
+
     def test_known_cells(self):
-        box = Box(lo=np.zeros(3), hi=np.full(3, 4.0))
-        # [TRIVIAL] floor(p) on a 4-cell grid over [0,4)
-        cells, clamped = quantize(np.array([2.0, 1.2, 3.9]), box, bits=2)
-        assert cells.tolist() == [2, 1, 3]
-        assert clamped == 0
+        # x spans [0, 4] on a 4-cell grid: floor puts 0.9 with 0 in cell 0 and 1.1
+        # in cell 1 (rounding would pair 0.9 with 1.1); x = 4 lands in cell 3
+        pts = np.zeros((4, 3))
+        pts[:, 0] = [1.1, 0.9, 0.0, 4.0]
+        mapping = build_mapping(pts, resolution=(4, 1), bits=2)
+        # [DERIVED] codes 1, 0, 0, 9 (x bits at 0 and 3); ties break by index
+        assert mapping.uv[:, 0].tolist() == [2, 0, 1, 3]
+        assert mapping.clamp_count == 0
 
     def test_max_face_clamps(self):
-        box = Box(lo=np.zeros(3), hi=np.ones(3))
-        cells, clamped = quantize(np.array([[1.0, 0.5, 0.0], [2.0, -0.5, 0.5]]), box, bits=3)
-        assert cells[0].tolist() == [7, 4, 0]
-        assert cells[1].tolist() == [7, 0, 4]
-        assert clamped == 3  # 1.0, 2.0 and -0.5 all land outside
+        # at 1e12 the 1e-6 margin rounds away, so the max point lands on the max face
+        pts = np.array([[1e12, 1.0, 0.9], [0.0, 0.0, 0.0], [3e11, 0.3, 0.3]])
+        mapping = build_mapping(pts, resolution=(3, 1), bits=3)
+        # [DERIVED] cells (7, 7, 7) with x clamped from 8, (0, 0, 0) and (2, 2, 2):
+        # codes 511, 0 and 56 rank kernel 1, then 2, then 0
+        assert mapping.uv[:, 0].tolist() == [2, 0, 1]
+        assert mapping.clamp_count == 1
 
     def test_bits_range_checked(self):
-        box = Box(lo=np.zeros(3), hi=np.ones(3))
         for bad in (0, 22):
             with pytest.raises(InvalidArgumentError):
-                quantize(np.zeros(3), box, bits=bad)
+                build_mapping(np.random.default_rng(0).random((4, 3)), (2, 2), bits=bad)
 
     def test_box_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            Box(lo=np.zeros(3), hi=np.array([1.0, 0.0, 1.0]))
+        # at 1e12 the 1e-6 margin rounds away, so a flat axis keeps no extent
+        pts = np.array([[0.0, 1e12, 0.0], [1.0, 1e12, 1.0]])
+        with pytest.raises(InvalidArgumentError, match="positive extent"):
+            build_mapping(pts, (2, 1), bits=4)
 
 
 class TestBuildMapping:

@@ -120,6 +120,18 @@ class TestCoverage:
         assert np.all(out.alpha == 0.0)
         assert np.all(out.rgb == 0.0)
 
+    @pytest.mark.parametrize("x", [-1.5, -1.55])
+    def test_kernel_wider_than_image_off_image(self, x):
+        # sigma 0.5 m is 32 px on a 64 px, 1 m window: the ellipse reaches column 0
+        # from a centre 99 px left of the image
+        cam = OrthoCamera.axis_view("+z", np.zeros(3), 1.0, 1.0, (64, 64))
+        g = _set([[x, 0.0, 0.0]], [0.9], log_scale=np.log(0.5))
+        alpha = splat(g, cam).alpha
+        # [DERIVED] pixel (0, 32) centre (0.5, 32.5) against mean (32 + 64x, 32) in px
+        dx, dy = 0.5 - (32.0 + 64.0 * x), 0.5
+        want = 0.9 * np.exp(-0.5 * (dx * dx + dy * dy) / 32.0**2)
+        assert alpha[32, 0] == pytest.approx(want, rel=1e-12)
+
 
 class TestCompositing:
     def test_front_occludes_back(self):

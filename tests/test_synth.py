@@ -74,6 +74,13 @@ class TestTwoLink:
         with pytest.raises(InvalidArgumentError):
             sc.deform(sc.motion.points, sc.motion_labels, 2.5)
 
+    def test_three_samples_is_one_per_part(self):
+        sc = make_twolink_scene(3, 3, seed=7)
+        assert np.bincount(sc.motion_labels, minlength=3).tolist() == [1, 1, 1]
+        for n_motion, n_appearance in ((2, 40), (20, 0), (-3, 40)):
+            with pytest.raises(InvalidArgumentError, match="three samples"):
+                make_twolink_scene(n_motion, n_appearance, seed=7)
+
     def test_tip_samples_on_sphere(self):
         sc = make_twolink_scene(50, 400, seed=8, limb_length=0.25, tip_radius=0.05)
         tip = sc.surface_labels == sc.label_names.index("tip")
@@ -148,6 +155,14 @@ class TestAnimate:
         sc = make_scene("twolink", 20, 30, seed=17)
         with pytest.raises(InvalidArgumentError):
             animate(sc, [0.5, 3.0])
+
+    @pytest.mark.parametrize("kind", ["twolink", "cylinder"])
+    def test_non_finite_value_named(self, kind):
+        # every comparison with nan is false, so the range bounds alone pass it
+        sc = make_scene(kind, 20, 30, seed=17)
+        for value in (np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError, match="amplitude must be finite"):
+                animate(sc, [0.1, value])
 
     def test_surface_follows_same_deformation(self):
         sc = make_scene("cylinder", 20, 40, seed=18)
