@@ -396,8 +396,11 @@ def knn_build(
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
     if k > reference.shape[0]:
         raise InvalidArgumentError(f"k={k} exceeds reference size {reference.shape[0]}")
-    if not (np.isfinite(length_scale) and length_scale > 0.0):
-        raise InvalidArgumentError(f"length_scale must be positive, got {length_scale}")
+    # the weights divide by length_scale**2, so the square must be a normal float
+    square = float(length_scale) * float(length_scale)
+    if not (length_scale > 0.0 and np.finfo(np.float64).tiny <= square < np.inf):
+        raise InvalidArgumentError(
+            f"length_scale must be positive with a finite normal square, got {length_scale}")
 
     n, m = query.shape[0], reference.shape[0]
     tree = cKDTree(reference)

@@ -89,8 +89,8 @@ def _arap_residual(prev: GaussianSet, positions: np.ndarray, rotations: np.ndarr
     Returns (value, 2 w e, a, rotated, (q_hat, |q|, prev^-1)): ``a`` holds the
     previous edge offsets (N,k,3), ``rotated`` is a R^T with R the relative
     rotation R(q_hat) of q = rotations (x) prev^-1, and e = rotated - b with b
-    the current edge offsets. The tracker's solver shares it, so both log the
-    same value.
+    the current edge offsets. The tracking and transfer solvers share it, so
+    they log the same value.
     """
     # prev^-1 = conj(prev)/|prev|^2; GaussianSet guarantees a non-zero norm
     prev_q = prev.rotations
@@ -182,13 +182,17 @@ def _point_match(positions: np.ndarray, colors: np.ndarray, cloud: PointCloud):
     kernel with the position and color differences to it, and the nearest
     kernel of each cloud point. The forward query uses the cloud's cached tree;
     the backward one builds a tree of ``positions``. The tracker's solver
-    shares it, so both log the same value.
+    shares it, so both log the same value. Positions so far apart that a match
+    distance overflows are an ``InvalidArgumentError``.
     """
-    _, nn_fwd = cloud.tree.query(positions, k=1)
+    d_fwd, nn_fwd = cloud.tree.query(positions, k=1)
+    d_bwd, nn_bwd = cKDTree(positions).query(cloud.points, k=1)
+    # a k-d tree reports an infinite distance with the out-of-range index len(data)
+    if not (np.all(np.isfinite(d_fwd)) and np.all(np.isfinite(d_bwd))):
+        raise InvalidArgumentError("nearest-point match distances are not finite")
     dp = positions - cloud.points[nn_fwd]
     dc = colors - cloud.colors[nn_fwd]
     fwd = (np.sum(dp * dp, axis=1) + np.sum(dc * dc, axis=1)).sum() / len(positions)
-    d_bwd, nn_bwd = cKDTree(positions).query(cloud.points, k=1)
     bwd = float(np.sum(d_bwd * d_bwd)) / len(cloud)
     return float(fwd + bwd), nn_fwd, dp, dc, nn_bwd
 
@@ -283,9 +287,19 @@ def e_l2_gauss(gset: GaussianSet, target: GaussianSet) -> EnergyEval:
     if len(gset) != len(target):
         raise InvalidArgumentError(f"kernel counts differ: {len(gset)} vs {len(target)}")
     n = len(gset)
-    dp = gset.positions - target.positions
-    dots = np.sum(gset.rotations * target.rotations, axis=1)
-    flip = np.where(dots < 0.0, -1.0, 1.0)
-    dq = gset.rotations - flip[:, None] * target.rotations
-    value = float(np.sum(dp * dp)) / n + float(np.sum(dq * dq)) / n
+    value, dp, dq = _l2_residual(gset.positions, gset.rotations, target)
     return EnergyEval(value=value, grad_p=2.0 * dp / n, grad_q=2.0 * dq / n)
+
+
+def _l2_residual(positions: np.ndarray, rotations: np.ndarray, target: GaussianSet):
+    """Value and the position and rotation differences of ``e_l2_gauss``; unchecked.
+
+    The transfer solver shares it, so both log the same value.
+    """
+    n = len(positions)
+    dp = positions - target.positions
+    dots = np.sum(rotations * target.rotations, axis=1)
+    flip = np.where(dots < 0.0, -1.0, 1.0)
+    dq = rotations - flip[:, None] * target.rotations
+    value = float(np.sum(dp * dp)) / n + float(np.sum(dq * dq)) / n
+    return value, dp, dq

@@ -1,11 +1,13 @@
 """Optimization stages: canonical fitting, tracking, alignment, motion transfer.
 
-Fitting, alignment and transfer are each one call to ``_optimize``: a weighted
-sum of energy terms minimized by Adam over some parameter blocks. They differ
-only in their set-up, their terms and which blocks move. Tracking has its own
-local/global solver (``_track_frame``): per-kernel rotation fits alternate with
-one linear solve for all positions, under nearest-point matches that are
-renewed every step.
+Fitting and alignment are each one call to ``_optimize``: a weighted sum of
+energy terms minimized by Adam over some parameter blocks. They differ only in
+their set-up, their terms and which blocks move. Tracking and transfer run
+local/global solvers (``_track_frame``, ``_transfer_frame``): per-kernel
+rotation updates alternate with one linear solve for all positions. Tracking
+renews its nearest-point matches every step; transfer's position matrix is
+constant, so it is factored once per call. Both share the shifted Horn matrix,
+the edge right-hand side, the banded Laplacian and the stopping rule.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core import (
     NeighborGraph,
     PointCloud,
     Role,
+    _CONJ,
     _hamilton,
     knn_build,
     quat_normalize,
@@ -30,11 +33,11 @@ from .energy import (
     GRAD_FIELDS,
     EnergyEval,
     _arap_residual,
+    _l2_residual,
     _point_match,
     e_arap,
     e_data_points,
     e_iso,
-    e_l2_gauss,
     e_mask,
     e_sem,
     e_size,
@@ -47,12 +50,16 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
 
-# tracking stops once its best total has not fallen by more than TOL times the
-# frame's first total for PATIENCE solver steps
+# the local/global solvers (tracking, transfer) stop once a frame's best total has
+# not fallen by more than TOL times its first total for PATIENCE solver steps
 TOL = 1e-5
 PATIENCE = 5
 # squarings of the shifted Horn matrix per rotation fit: power iteration to the 1024th power
 _FIT_SQUARINGS = 10
+# minorise-maximise passes of the transfer solver's rotation update per step
+_MM_PASSES = 3
+# largest condition number bound accepted for the transfer solver's position matrix
+_MAX_CONDITION = 1e12
 
 
 class Adam(object):
@@ -202,7 +209,11 @@ class TrackConfig:
 
 @dataclass
 class TransferConfig:
-    """Knobs for semantic alignment and motion transfer."""
+    """Knobs for semantic alignment and motion transfer.
+
+    ``lr_*`` and ``lr_end_factor`` drive alignment's Adam only;
+    ``iterations_transfer`` caps the transfer solver's steps per frame.
+    """
 
     iterations_align: int = 15000
     iterations_transfer: int = 2000
@@ -310,17 +321,13 @@ def init_canonical(initial: GaussianSet, target: PointCloud,
 # frame-to-frame tracking
 
 
-def _fit_rotations(a: np.ndarray, b: np.ndarray, w: np.ndarray, warm: np.ndarray) -> np.ndarray:
-    """Per-kernel unit quaternion q minimizing sum_k w_k |R(q) a_k - b_k|^2 (Procrustes).
+def _horn_matrix(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted Horn matrices M (N,4,4) and their shifts c (N,) for offsets ``a``, ``b`` (N,k,3).
 
-    ``a`` and ``b`` are (N,k,3) offsets, ``w`` (N,k) non-negative weights and
-    ``warm`` (N,4) unit start quaternions. The best q is the top eigenvector of
-    Horn's traceless symmetric 4x4 matrix of S = sum_k w_k a_k b_k^T. Adding
-    c = sum_k w_k (|a_k|^2 + |b_k|^2) / 2, which bounds its spectrum, makes it
-    positive semi-definite; squaring that ``_FIT_SQUARINGS`` times and applying
-    it to ``warm`` is power iteration from ``warm``. So a fit never scores below
-    its start, a kernel without weight keeps ``warm``, and the result is a
-    proper rotation in ``warm``'s hemisphere.
+    For a unit quaternion q, sum_k w_k |R(q) a_k - b_k|^2 = 4c - 2 q^T M q, where
+    M is Horn's traceless symmetric 4x4 matrix of S = sum_k w_k a_k b_k^T plus
+    c = sum_k w_k (|a_k|^2 + |b_k|^2) / 2 times the identity. c bounds the
+    traceless part's spectrum, so M is positive semi-definite.
     """
     s = (w[:, :, None] * a).transpose(0, 2, 1) @ b
     sxx, sxy, sxz, syx, syy, syz, szx, szy, szz = np.moveaxis(s.reshape(-1, 9), -1, 0)
@@ -336,6 +343,20 @@ def _fit_rotations(a: np.ndarray, b: np.ndarray, w: np.ndarray, warm: np.ndarray
     m[:, 1, 2] = m[:, 2, 1] = sxy + syx
     m[:, 1, 3] = m[:, 3, 1] = szx + sxz
     m[:, 2, 3] = m[:, 3, 2] = syz + szy
+    return m, c
+
+
+def _fit_rotations(a: np.ndarray, b: np.ndarray, w: np.ndarray, warm: np.ndarray) -> np.ndarray:
+    """Per-kernel unit quaternion q minimizing sum_k w_k |R(q) a_k - b_k|^2 (Procrustes).
+
+    ``a`` and ``b`` are (N,k,3) offsets, ``w`` (N,k) non-negative weights and
+    ``warm`` (N,4) unit start quaternions. The best q is the top eigenvector of
+    the shifted Horn matrix (``_horn_matrix``); squaring it ``_FIT_SQUARINGS``
+    times and applying it to ``warm`` is power iteration from ``warm``. So a
+    fit never scores below its start, a kernel without weight keeps ``warm``,
+    and the result is a proper rotation in ``warm``'s hemisphere.
+    """
+    m, c = _horn_matrix(a, b, w)
     # scaled to trace 1 the top eigenvalue is at least 1/4, so it stays far
     # from underflow over five squarings; rescale after every fifth
     m /= np.where(c > 0.0, 4.0 * c, 1.0)[:, None, None]
@@ -355,7 +376,8 @@ class _Laplacian:
 
     It is the part of ``e_arap`` that is quadratic in positions: every edge
     (i, j, w) with i != j adds w |p_j - p_i|^2. It depends on the graph alone,
-    so it is assembled once per sequence, in the order that keeps the band narrow.
+    so it is assembled once per tracked sequence or transfer call, in the order
+    that keeps the band narrow.
     """
 
     order: np.ndarray  # kernel at each banded row
@@ -363,7 +385,7 @@ class _Laplacian:
 
     @classmethod
     def of(cls, graph: NeighborGraph) -> "_Laplacian":
-        # loaded here so that only tracking pays for the module
+        # loaded here so that only the local/global solvers pay for the module
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         n, k = graph.indices.shape
@@ -390,6 +412,55 @@ class _Laplacian:
                                                    check_finite=False)
         return x
 
+    def factored(self, scale: float, diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """A solver of (``scale`` L + diag(``diagonal``)) x = rhs (N,3), factored once.
+
+        For a matrix that stays fixed across solves; it must be positive definite.
+        """
+        band = scale * self.band
+        band[0] += diagonal[self.order]
+        factor = scipy.linalg.cholesky_banded(band, lower=True, check_finite=False)
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            x = np.empty_like(rhs)
+            x[self.order] = scipy.linalg.cho_solve_banded((factor, True), rhs[self.order],
+                                                          check_finite=False)
+            return x
+        return solve
+
+
+class _BestIterate:
+    """The lowest-total iterate of a local/global solve, and its stopping rule.
+
+    ``update`` keeps an iterate whose total is below the best so far and says
+    when to stop: once the best total has not fallen by more than ``TOL`` times
+    the first total for ``PATIENCE`` steps.
+    """
+
+    def __init__(self, values: tuple, state: tuple):
+        self.values, self.state = values, state
+        self.anchor, self.since, self.tol = values[-1], 0, TOL * values[-1]
+
+    def update(self, it: int, values: tuple, state: tuple) -> bool:
+        if values[-1] < self.values[-1]:
+            self.values, self.state = values, state
+            if values[-1] < self.anchor - self.tol:
+                self.anchor, self.since = values[-1], it
+        return it - self.since >= PATIENCE
+
+
+def _edge_rhs(base: np.ndarray, slots: np.ndarray, w: np.ndarray,
+              rotated: np.ndarray) -> np.ndarray:
+    """``base`` plus the edge part r of a local/global position solve's right-hand side.
+
+    ``rotated`` holds each edge's rotated rest offset R a (N,k,3) and ``w`` the
+    edge weights (N,k); each edge adds w R a at its neighbour and takes it at
+    its kernel. ``slots`` are the neighbours' flat (kernel, axis) indices.
+    """
+    n = len(base)
+    wr = w[:, :, None] * rotated
+    return base + np.bincount(slots, wr.ravel(), 3 * n).reshape(n, 3) - np.einsum("nkd->nd", wr)
+
 
 def _track_frame(prev: GaussianSet, cloud: PointCloud, graph: NeighborGraph,
                  laplacian: _Laplacian, steps: int) -> tuple[GaussianSet, Trace]:
@@ -402,7 +473,7 @@ def _track_frame(prev: GaussianSet, cloud: PointCloud, graph: NeighborGraph,
     and rotations held is quadratic in positions, and colors do not move. Row t
     of the trace logs iterate t with the rotations fitted to its positions;
     the best iterate is returned and re-logged last. At most ``steps`` steps
-    run, fewer once the stopping rule (``TOL``, ``PATIENCE``) holds.
+    run, fewer once the stopping rule (``_BestIterate``) holds.
     """
     n, m = len(prev), len(cloud)
     idx, w = graph.indices, graph.weights
@@ -422,26 +493,18 @@ def _track_frame(prev: GaussianSet, cloud: PointCloud, graph: NeighborGraph,
         values = (e_data, e_rigid, e_data + e_rigid)
         trace.record(it, values)
         if it == 0:
-            best, anchor, since = (values, positions, rotations), values[-1], 0
-            tol = TOL * values[-1]
-        elif values[-1] < best[0][-1]:
-            best = (values, positions, rotations)
-            if values[-1] < anchor - tol:
-                anchor, since = values[-1], it
-        if it == steps or it - since >= PATIENCE:
+            best = _BestIterate(values, (positions, rotations))
+        if best.update(it, values, (positions, rotations)) or it == steps:
             break
         # zero gradient of the energy with matches and rotations held:
-        # (L + diag(1/n + count/m)) p = y/n + (sum of matched points)/m + r,
-        # where each edge adds its w R a to r at its neighbour and takes it at its kernel
-        wr = w[:, :, None] * rotated
-        rhs = (cloud.points[nn_fwd] / n
-               + np.bincount((nn_bwd[:, None] * 3 + np.arange(3)).ravel(),
-                             cloud.points.ravel(), 3 * n).reshape(n, 3) / m
-               + np.bincount(edge_slots, wr.ravel(), 3 * n).reshape(n, 3)
-               - np.einsum("nkd->nd", wr))
+        # (L + diag(1/n + count/m)) p = y/n + (sum of matched points)/m + r
+        rhs = _edge_rhs(cloud.points[nn_fwd] / n
+                        + np.bincount((nn_bwd[:, None] * 3 + np.arange(3)).ravel(),
+                                      cloud.points.ravel(), 3 * n).reshape(n, 3) / m,
+                        edge_slots, w, rotated)
         positions = laplacian.solve(1.0 / n + np.bincount(nn_bwd, minlength=n) / m, rhs)
-    trace.record(it + 1, best[0])
-    return prev.replace(positions=best[1], rotations=best[2]), trace
+    trace.record(it + 1, best.values)
+    return prev.replace(positions=best.state[0], rotations=best.state[1]), trace
 
 
 def track_sequence(canonical: GaussianSet, targets: list[PointCloud],
@@ -576,33 +639,94 @@ def align_canonical(source: GaussianSet, driver: GaussianSet,
 # motion transfer
 
 
+def _transfer_frame(source: GaussianSet, target: GaussianSet, rigid: NeighborGraph,
+                    solve: Callable[[np.ndarray], np.ndarray], lam: float,
+                    steps: int) -> tuple[GaussianSet, Trace]:
+    """Minimize e_l2_gauss(., target) + lam e_arap(source, .) over positions and rotations.
+
+    Iterate 0 is ``target``. Each step first solves for all positions with the
+    rotations held, which is exact: the energy is then quadratic in positions,
+    with (lam L + I/n) p = p_target/n + lam r, and ``solve`` applies that
+    matrix's factor. It then updates every kernel's rotation with the new
+    positions held, through the relative rotation r = q (x) src^-1 (src: the
+    normalized source rotations). For unit r the energy is a constant minus
+    (2 |r.u|/n + 2 lam r^T M r), with u = q_target (x) src^-1 and M the
+    shifted Horn matrix of the edge offsets (``_horn_matrix``, positive
+    semi-definite). Linearising both at r gives the minorise-maximise update
+    r <- normalize(2 lam n M r + s u), s = sign(r.u), made ``_MM_PASSES``
+    times per step; it never raises the energy. Rows, the returned best
+    iterate and the stopping rule are as in ``_track_frame``.
+    """
+    n = len(target)
+    idx = rigid.indices
+    edge_slots = (idx[:, :, None] * 3 + np.arange(3)).ravel()
+    lam_w = lam * rigid.weights
+    base = target.positions / n
+    src = source.rotations / np.linalg.norm(source.rotations, axis=1, keepdims=True)
+    u = _hamilton(target.rotations, src * _CONJ)
+    rel = u
+    positions, rotations = target.positions, target.rotations
+    trace = Trace(columns=("iteration", "e_l2", "e_arap", "total"))
+    for it in range(steps + 1):
+        if it:
+            offsets = np.take(positions, idx, axis=0) - positions[:, None, :]
+            m = (2.0 * lam * n) * _horn_matrix(a, offsets, rigid.weights)[0]
+            for _ in range(_MM_PASSES):
+                pull = np.where((np.sum(rel * u, axis=1) < 0.0)[:, None], -u, u)
+                rel = (m @ rel[:, :, None])[:, :, 0] + pull
+                rel /= np.linalg.norm(rel, axis=1, keepdims=True)
+            rotations = _hamilton(rel, src)
+            rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
+        e_l2 = _l2_residual(positions, rotations, target)[0]
+        # a: the source's edge offsets, the same on every step
+        e_rigid, _, a, rotated, _ = _arap_residual(source, positions, rotations, rigid)
+        values = (e_l2, e_rigid, e_l2 + lam * e_rigid)
+        trace.record(it, values)
+        if it == 0:
+            best = _BestIterate(values, (positions, rotations))
+        if best.update(it, values, (positions, rotations)) or it == steps:
+            break
+        positions = solve(_edge_rhs(base, edge_slots, lam_w, rotated))
+    trace.record(it + 1, best.values)
+    return target.replace(positions=best.state[0], rotations=best.state[1]), trace
+
+
 def transfer_motion(aligned: GaussianSet, source_canonical: GaussianSet,
                     driver_canonical: GaussianSet, motions: list[FrameMotion],
                     cfg: TransferConfig) -> tuple[list[GaussianSet], list[Trace]]:
     """Re-perform driver motion on the aligned source appearance set.
 
     Every frame starts at the skinned warp of the aligned set under the
-    driver's transforms and is then refined to stay close to that warp while
-    keeping local rigidity against the *source* canonical geometry, so the
-    result moves like the driver but deforms like the source.
+    driver's transforms and is then refined by ``_transfer_frame`` to stay
+    close to that warp while keeping local rigidity against the *source*
+    canonical geometry, so the result moves like the driver but deforms like
+    the source. ``cfg.iterations_transfer`` caps the solver steps per frame.
     """
+    lam = cfg.lambda_arap_transfer
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise InvalidArgumentError(
+            f"lambda_arap_transfer must be finite and non-negative, got {lam}")
+    if cfg.iterations_transfer < 1:
+        raise InvalidArgumentError("iterations_transfer must be >= 1")
     if len(aligned) != len(source_canonical):
         raise InvalidArgumentError("aligned and source canonical sets differ in size")
     skin = knn_build(aligned.positions, driver_canonical.positions,
                      cfg.k_neighbors, cfg.length_scale, normalize=True)
     rigid = knn_build(source_canonical.positions, source_canonical.positions,
                       cfg.k_neighbors, cfg.length_scale, normalize=False)
+    n = len(aligned)
+    laplacian = _Laplacian.of(rigid)
+    # the position matrix (lam L + I/n) has a condition number of at most
+    # 1 + 2 lam n max(diag L); it is the same for every step of every frame
+    if 2.0 * lam * n * laplacian.band[0].max() > _MAX_CONDITION:
+        raise InvalidArgumentError(f"lambda_arap_transfer={lam} is too large for this rigidity "
+                                   "graph: the position solve would lose its precision")
+    solve = laplacian.factored(lam, np.full(n, 1.0 / n))
     results: list[GaussianSet] = []
     traces: list[Trace] = []
     for fm in motions:
-        target = warp_appearance(aligned, fm, skin)
-        result, trace = _optimize(
-            target,
-            {"positions": cfg.lr_position, "rotations": cfg.lr_rotation},
-            cfg.lr_end_factor, cfg.iterations_transfer,
-            [("e_l2", 1.0, lambda cur: e_l2_gauss(cur, target)),
-             ("e_arap", cfg.lambda_arap_transfer,
-              lambda cur: e_arap(source_canonical, cur, rigid))])
+        result, trace = _transfer_frame(source_canonical, warp_appearance(aligned, fm, skin),
+                                        rigid, solve, lam, cfg.iterations_transfer)
         results.append(result)
         traces.append(trace)
     return results, traces

@@ -28,6 +28,9 @@ def _colors_from_positions(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
 
 def _allocate(total: int, weights: np.ndarray) -> np.ndarray:
     """Split ``total`` proportionally to ``weights`` (largest remainder, every part >= 1)."""
+    if total < len(weights):
+        raise InvalidArgumentError(f"cannot split {total} samples into {len(weights)} "
+                                   "non-empty parts")
     ideal = total * weights / weights.sum()
     counts = np.floor(ideal).astype(int)
     remainder = ideal - counts

@@ -125,9 +125,17 @@ def small_scene(tmp_path_factory):
 def _inputs(command, scene, tmp_path):
     """Valid arguments for ``command`` on the small scene, writing under ``tmp_path``."""
     appearance = scene / "appearance_canonical.gset"
+    motion = scene / "motion_canonical.gset"
     labels = scene / "appearance_labels.csv"
     return {
         "render": ("--input", appearance, "--out", tmp_path / "x.ppm"),
+        "init": ("--input", appearance, "--target", scene / "frames" / "surface_0001.gset",
+                 "--out", tmp_path / "i.gset", "--trace", tmp_path / "i.csv"),
+        "warp": ("--appearance", appearance, "--canonical", motion,
+                 "--deformed", scene / "truth" / "motion_0001.gset", "--out", tmp_path / "w.gset"),
+        "transfer": ("--aligned", appearance, "--source-canonical", appearance,
+                     "--driver-canonical", motion, "--driver-frames", scene / "truth",
+                     "--out-dir", tmp_path / "t"),
         "synth": ("--kind", "twolink", "--out", tmp_path / "s", "--frames", 1,
                   "--amplitude", 0.1, "--n-motion", 20, "--n-appearance", 30),
         "align": ("--source", appearance, "--source-labels", labels,
@@ -333,6 +341,29 @@ class TestExitCodes:
         capsys.readouterr()
         rc = run_cli(command, *_inputs(command, small_scene, tmp_path), flag, MAX_RESOLUTION + 1)
         assert rc == 1
+        _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("config", ["lambda_2=-1", "lambda_2=1e300", "iterations_transfer=0"])
+    def test_bad_transfer_setting_is_runtime_error(self, small_scene, tmp_path, capsys, config):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(config + "\n")
+        capsys.readouterr()
+        assert run_cli("transfer", *_inputs("transfer", small_scene, tmp_path),
+                       "--config", cfg) == 1
+        _assert_one_error_line(capsys)
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("command,config", [
+        ("warp", "l=1e-300"),  # the weights' l**2 underflows to zero
+        ("warp", "l=1e300"),  # l**2 overflows
+        ("init", "lr_position=1e300"),  # one step puts kernels beyond any finite match distance
+    ], ids=["tiny-length-scale", "huge-length-scale", "huge-step"])
+    def test_extreme_setting_is_runtime_error(self, small_scene, tmp_path, capsys,
+                                              command, config):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(config + "\n")
+        capsys.readouterr()
+        assert run_cli(command, *_inputs(command, small_scene, tmp_path), "--config", cfg) == 1
         _assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("command,required", [

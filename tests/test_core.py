@@ -351,6 +351,14 @@ class TestNeighbors:
         assert g.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert g.weights[0, 0] == pytest.approx(1.0)  # nearest dominates
 
+    @pytest.mark.parametrize("length_scale", [1e-300, 1e-160, 5e-324, 1e300, 1e155, 0.0, -1.0,
+                                              np.inf, np.nan])
+    def test_length_scale_without_a_normal_square_rejected(self, length_scale):
+        # the weights divide by length_scale**2: it must neither underflow nor overflow
+        ref = np.random.default_rng(3).normal(size=(6, 3))
+        with pytest.raises(InvalidArgumentError, match="length_scale"):
+            knn_build(ref, ref, k=2, length_scale=length_scale, normalize=False)
+
     def test_k_larger_than_reference_rejected(self):
         ref = np.zeros((3, 3))
         with pytest.raises(InvalidArgumentError):

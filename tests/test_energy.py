@@ -175,6 +175,14 @@ class TestDataPoints:
         again = e_data_points(g, PointCloud(points=cloud.points, colors=cloud.colors))
         assert again.value == first.value and np.array_equal(again.grad_p, first.grad_p)
 
+    def test_overflowing_match_distance_rejected(self):
+        # the k-d tree reports an infinite distance with an out-of-range index
+        g = _rand_set(5, seed=4)
+        cloud = PointCloud(points=g.positions.copy(), colors=g.colors.copy())
+        far = g.replace(positions=np.full((5, 3), 1e300) * [1.0, -1.0, 1.0])
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            e_data_points(far, cloud)
+
     @pytest.mark.parametrize("n,m,seed", [(300, 300, 0), (300, 700, 1), (40, 900, 2)])
     def test_backward_pull_matches_scatter_add_reference(self, n, m, seed):
         # the backward pulls are summed per kernel by one bincount and then added

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splatkin.core import PointCloud, Role, knn_build, quat_normalize, quat_to_matrix
-from splatkin.energy import e_arap, e_data_points
+from splatkin.energy import e_arap, e_data_points, e_l2_gauss
 from splatkin.errors import InvalidArgumentError
 from splatkin.fileio import read_gset, write_gset
 from splatkin.pipeline import (
@@ -16,6 +16,7 @@ from splatkin.pipeline import (
     TrackConfig,
     TransferConfig,
     _fit_rotations,
+    _Laplacian,
     _optimize,
     align_canonical,
     init_canonical,
@@ -26,6 +27,7 @@ from splatkin.pipeline import (
 )
 from splatkin.render import OrthoCamera
 from splatkin.synth import animate, make_scene
+from splatkin.warp import FrameMotion, warp_appearance
 
 
 class TestAdam:
@@ -389,6 +391,19 @@ class TestFitRotations:
         assert np.array_equal(fit, warm)
 
 
+class TestLaplacian:
+    def test_factored_solve_matches_the_one_off_solve(self):
+        rng = np.random.default_rng(23)
+        pts = rng.normal(size=(120, 3))
+        laplacian = _Laplacian.of(knn_build(pts, pts, 5, 1.0, normalize=False))
+        diagonal = rng.uniform(0.5, 2.0, size=120)
+        solve = laplacian.factored(0.3, diagonal)
+        for _ in range(2):  # the factor is reused
+            rhs = rng.normal(size=(120, 3))
+            want = laplacian.solve(diagonal / 0.3, rhs / 0.3)
+            assert np.abs(solve(rhs) - want).max() < 1e-12 * np.abs(want).max()
+
+
 def _fast_transfer_cfg(**kw):
     base = dict(iterations_align=40, iterations_transfer=30, length_scale=0.05,
                 k_neighbors=4, clusters_per_label=3, lr_position=2e-3,
@@ -445,3 +460,93 @@ class TestTransferMotion:
         with pytest.raises(InvalidArgumentError):
             transfer_motion(src, sc.motion_set(), sc.motion_set(),
                             [sc.exact_motion(0.1, frame=1)], _fast_transfer_cfg())
+
+    @staticmethod
+    def _bend(seed, values, **kw):
+        """Transfer of a two-link bend onto its own appearance set, with its targets and graph."""
+        sc = make_scene("twolink", 60, 120, seed=seed)
+        src, drv = sc.appearance_set(), sc.motion_set()
+        fms = [sc.exact_motion(v, frame=i + 1) for i, v in enumerate(values)]
+        cfg = _fast_transfer_cfg(**kw)
+        results, traces = transfer_motion(src, src, drv, fms, cfg)
+        skin = knn_build(src.positions, drv.positions, cfg.k_neighbors, cfg.length_scale,
+                         normalize=True)
+        rigid = knn_build(src.positions, src.positions, cfg.k_neighbors, cfg.length_scale,
+                          normalize=False)
+        targets = [warp_appearance(src, fm, skin) for fm in fms]
+        return src, cfg, results, traces, targets, rigid
+
+    def test_trace_rows_are_the_energies_and_end_at_the_best(self):
+        src, cfg, results, traces, targets, rigid = self._bend(24, [0.3, 0.6])
+        lam = cfg.lambda_arap_transfer
+        for res, tr, target in zip(results, traces, targets):
+            assert [row[0] for row in tr.rows] == list(range(len(tr.rows)))
+            totals = [row[-1] for row in tr.rows]
+            assert totals[-1] == min(totals) < totals[0]
+            for row in tr.rows:
+                assert row[3] == row[1] + lam * row[2]
+            # row 0 is the warp itself
+            assert tr.rows[0][1] == 0.0
+            assert tr.rows[0][2] == e_arap(src, target, rigid).value
+            assert tr.rows[-1][1] == pytest.approx(e_l2_gauss(res, target).value,
+                                                   rel=1e-12, abs=0.0)
+            assert tr.rows[-1][2] == pytest.approx(e_arap(src, res, rigid).value,
+                                                   rel=1e-12, abs=0.0)
+            assert np.allclose(np.linalg.norm(res.rotations, axis=1), 1.0, atol=1e-15)
+
+    def test_step_cap_is_honoured(self):
+        _, _, _, (trace,), _, _ = self._bend(25, [0.5], iterations_transfer=1)
+        # the warp, one solver step, and the re-logged best
+        assert [row[0] for row in trace.rows] == [0, 1, 2]
+        assert trace.rows[2][1:] == min(trace.rows[:2], key=lambda row: row[-1])[1:]
+
+    @pytest.mark.parametrize("setting", [{"iterations_transfer": 0},
+                                         {"lambda_arap_transfer": -0.1},
+                                         {"lambda_arap_transfer": np.nan},
+                                         {"lambda_arap_transfer": np.inf},
+                                         {"lambda_arap_transfer": 1e300}])
+    def test_bad_setting_rejected(self, setting):
+        sc = make_scene("twolink", 40, 80, seed=26)
+        src = sc.appearance_set()
+        with pytest.raises(InvalidArgumentError, match=next(iter(setting))):
+            transfer_motion(src, src, sc.motion_set(), [sc.exact_motion(0.1, frame=1)],
+                            _fast_transfer_cfg(**setting))
+
+    def test_fitted_frame_stops_within_patience(self):
+        sc = make_scene("twolink", 60, 120, seed=27)
+        src = sc.appearance_set()
+        still = FrameMotion(delta_p=np.zeros((60, 3)),
+                            delta_q=np.tile([1.0, 0.0, 0.0, 0.0], (60, 1)), frame=1)
+        _, (trace,) = transfer_motion(src, src, sc.motion_set(), [still],
+                                      _fast_transfer_cfg(iterations_transfer=500))
+        steps = trace.rows[-1][0] - 1
+        assert steps <= PATIENCE + 1
+        # the skinned warp of the identity is the source up to rounding
+        assert trace.rows[-1][-1] < 1e-25
+
+    def test_runs_are_bitwise_equal(self):
+        runs = [self._bend(28, [0.2, 0.4])[2:4] for _ in range(2)]
+        for res_a, res_b, tr_a, tr_b in zip(runs[0][0], runs[1][0], runs[0][1], runs[1][1]):
+            assert np.array_equal(res_a.positions, res_b.positions)
+            assert np.array_equal(res_a.rotations, res_b.rotations)
+            assert tr_a.rows == tr_b.rows
+
+    def test_result_is_stationary(self):
+        # the gradient of e_l2_gauss + lam e_arap, with the rotation part projected
+        # onto the unit sphere's tangent, nearly vanishes at the result
+        src, cfg, results, _, targets, rigid = self._bend(29, [0.3, 0.6],
+                                                          iterations_transfer=200)
+        lam = cfg.lambda_arap_transfer
+
+        def gradient_norm(cur, target):
+            l2, rigidity = e_l2_gauss(cur, target), e_arap(src, cur, rigid)
+            grad_p = l2.grad_p + lam * rigidity.grad_p
+            grad_q = l2.grad_q + lam * rigidity.grad_q
+            q = cur.rotations
+            grad_q -= np.sum(grad_q * q, axis=1, keepdims=True) * q
+            return np.sqrt(np.sum(grad_p * grad_p) + np.sum(grad_q * grad_q))
+
+        for res, target in zip(results, targets):
+            start = gradient_norm(target, target)
+            assert start > 0.0
+            assert gradient_norm(res, target) < 1e-4 * start

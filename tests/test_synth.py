@@ -5,7 +5,7 @@ import pytest
 
 from splatkin.core import Role
 from splatkin.errors import InvalidArgumentError
-from splatkin.synth import animate, make_cylinder_scene, make_scene, make_twolink_scene
+from splatkin.synth import _allocate, animate, make_cylinder_scene, make_scene, make_twolink_scene
 from splatkin.warp import apply_motion
 
 
@@ -80,6 +80,12 @@ class TestTwoLink:
         for n_motion, n_appearance in ((2, 40), (20, 0), (-3, 40)):
             with pytest.raises(InvalidArgumentError, match="three samples"):
                 make_twolink_scene(n_motion, n_appearance, seed=7)
+
+    def test_allocate_needs_a_sample_per_part(self):
+        assert _allocate(3, np.array([5.0, 1.0, 1.0])).tolist() == [1, 1, 1]
+        for total in (2, 0, -1):  # once looped forever taking from the largest part
+            with pytest.raises(InvalidArgumentError, match="non-empty parts"):
+                _allocate(total, np.array([5.0, 1.0, 1.0]))
 
     def test_tip_samples_on_sphere(self):
         sc = make_twolink_scene(50, 400, seed=8, limb_length=0.25, tip_radius=0.05)
