@@ -409,7 +409,10 @@ def knn_build(
     rows = np.arange(n)
     width = min(k + _KNN_SLACK, m)
     while rows.size:
-        _, cand = tree.query(query[rows], k=width)
+        dist, cand = tree.query(query[rows], k=width)
+        # a k-d tree reports an overflowing distance as infinite, with the out-of-range index m
+        if not np.all(np.isfinite(dist)):
+            raise InvalidArgumentError("nearest-neighbor distances are not finite")
         cand = np.sort(cand.reshape(rows.size, width), axis=1)
         d2 = np.sum((query[rows, None, :] - reference[cand]) ** 2, axis=2)
         order = np.argsort(d2, axis=1, kind="stable")

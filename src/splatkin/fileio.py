@@ -20,6 +20,7 @@ import numpy as np
 from .core import GaussianSet, Role
 from .errors import FormatError, InvalidArgumentError, TruncationError
 from .morton import AttributeMap, MortonMapping
+from .render import MAX_RESOLUTION
 
 GSET_MAGIC = b"GSET"
 GSET_VERSION = 1
@@ -315,8 +316,8 @@ def read_pgm(path) -> np.ndarray:
 _INT_KEYS = {
     "k_neighbors": (1, None),
     "clusters_per_label": (1, None),
-    "map_width": (1, None),
-    "map_height": (1, None),
+    "map_width": (1, MAX_RESOLUTION),
+    "map_height": (1, MAX_RESOLUTION),
     "quant_bits": (1, 21),
     "iterations_init": (1, None),
     "iterations_track": (1, None),

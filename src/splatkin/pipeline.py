@@ -1,13 +1,10 @@
 """Optimization stages: canonical fitting, tracking, alignment, motion transfer.
 
-Fitting and alignment are each one call to ``_optimize``: a weighted sum of
-energy terms minimized by Adam over some parameter blocks. They differ only in
-their set-up, their terms and which blocks move. Tracking and transfer run
-local/global solvers (``_track_frame``, ``_transfer_frame``): per-kernel
-rotation updates alternate with one linear solve for all positions. Tracking
-renews its nearest-point matches every step; transfer's position matrix is
-constant, so it is factored once per call. Both share the shifted Horn matrix,
-the edge right-hand side, the banded Laplacian and the stopping rule.
+Each stage yields its iterates to one driver, ``_minimize``, which logs them
+and returns the lowest-total one. Fitting and alignment run Adam over some
+parameter blocks (``_optimize``). Tracking and transfer run local/global
+solvers (``_track_iterates``, ``_transfer_iterates``) that stop early: each
+step is one linear solve for all positions and per-kernel rotation updates.
 """
 
 from __future__ import annotations
@@ -50,8 +47,7 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
 
-# the local/global solvers (tracking, transfer) stop once a frame's best total has
-# not fallen by more than TOL times its first total for PATIENCE solver steps
+# the stopping rule of the local/global solvers (tracking, transfer); see _minimize
 TOL = 1e-5
 PATIENCE = 5
 # squarings of the shifted Horn matrix per rotation fit: power iteration to the 1024th power
@@ -192,7 +188,11 @@ def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class TrackConfig:
-    """Knobs for canonical fitting and per-frame tracking."""
+    """Knobs for canonical fitting and per-frame tracking.
+
+    ``lr_*`` and ``lr_end_factor`` drive fitting's Adam only;
+    ``iterations_track`` caps the tracking solver's steps per frame.
+    """
 
     iterations_init: int = 2000
     iterations_track: int = 4000
@@ -267,31 +267,55 @@ def _evaluate(base: GaussianSet, adam: Adam, blocks, terms: list[Term]):
     return values, grads
 
 
+def _minimize(columns: tuple[str, ...], iterates, steps: int, stops: bool) -> tuple[dict, Trace]:
+    """Run a stage's generator of (values, state) iterates; return the best state and the trace.
+
+    Values end in the total, and a state maps GaussianSet fields to arrays. Row
+    t logs iterate t, and the first lowest-total iterate is re-logged last. The
+    generator is resumed at most ``steps`` times and never after the last
+    logged iterate; with ``stops`` it ends once the best total has not fallen
+    by more than ``TOL`` times the first total for ``PATIENCE`` steps.
+    """
+    trace = Trace(columns=("iteration",) + columns)
+    for it, (values, state) in enumerate(iterates):
+        trace.record(it, values)
+        total = float(values[-1])  # Python floats: inf - inf gives no NumPy warning
+        if it == 0:
+            best, best_state = values, state
+            anchor, since, tol = total, 0, TOL * total
+        elif total < best[-1]:
+            best, best_state = values, state
+            if total < anchor - tol:
+                anchor, since = total, it
+        if it == steps or (stops and it - since >= PATIENCE):
+            break
+    trace.record(it + 1, best)
+    return best_state, trace
+
+
 def _optimize(base: GaussianSet, lrs: dict[str, float], lr_end_factor: float,
               iterations: int, terms: list[Term]) -> tuple[GaussianSet, Trace]:
     """Minimize the weighted sum of ``terms`` over the blocks named in ``lrs``.
 
     ``lrs`` maps each moving GaussianSet field to its start step size; it
     decays linearly to ``lr_end_factor`` times that. Rotations stay unit rows.
+    ``iterations`` iterates are logged, so Adam takes ``iterations - 1`` steps.
     Returns ``base`` with the best iterate's blocks (rotations normalized) and
-    the trace, whose final row re-logs the best iterate at index
-    ``iterations``.
+    the trace.
     """
     adam = Adam(iterations)
     for name, lr in lrs.items():
         adam.add_group(name, getattr(base, name), lr, lr * lr_end_factor,
                        unit_rows=name == "rotations")
-    trace = Trace(columns=("iteration",) + tuple(col for col, _, _ in terms) + ("total",))
-    best_values = None
-    best = None
-    for it in range(iterations):
-        values, grads = _evaluate(base, adam, lrs, terms)
-        trace.record(it, values)
-        if best_values is None or values[-1] < best_values[-1]:
-            best_values = values
-            best = {name: adam[name].copy() for name in lrs}
-        adam.step(grads)
-    trace.record(iterations, best_values)
+
+    def iterates():
+        while True:
+            values, grads = _evaluate(base, adam, lrs, terms)
+            yield values, {name: adam[name].copy() for name in lrs}
+            adam.step(grads)
+
+    best, trace = _minimize(tuple(col for col, _, _ in terms) + ("total",), iterates(),
+                            iterations - 1, stops=False)
     best["rotations"] = quat_normalize(best.get("rotations", base.rotations))
     return base.replace(**best), trace
 
@@ -308,6 +332,8 @@ def init_canonical(initial: GaussianSet, target: PointCloud,
     penalties. Rotations and opacities keep their initial values; rotations
     come back normalized.
     """
+    if cfg.iterations_init < 1:
+        raise InvalidArgumentError("iterations_init must be >= 1")
     return _optimize(
         initial,
         {"positions": cfg.lr_position, "log_scales": cfg.lr_scale, "colors": cfg.lr_color},
@@ -403,19 +429,10 @@ class _Laplacian:
         np.subtract.at(band, (hi - lo, lo), w)
         return cls(order=order, band=band)
 
-    def solve(self, diagonal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve (L + diag(``diagonal``)) x = ``rhs`` (N,3); the diagonal must be positive."""
-        band = self.band.copy()
-        band[0] += diagonal[self.order]
-        x = np.empty_like(rhs)
-        x[self.order] = scipy.linalg.solveh_banded(band, rhs[self.order], lower=True,
-                                                   check_finite=False)
-        return x
-
     def factored(self, scale: float, diagonal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """A solver of (``scale`` L + diag(``diagonal``)) x = rhs (N,3), factored once.
 
-        For a matrix that stays fixed across solves; it must be positive definite.
+        The matrix must be positive definite.
         """
         band = scale * self.band
         band[0] += diagonal[self.order]
@@ -427,26 +444,6 @@ class _Laplacian:
                                                           check_finite=False)
             return x
         return solve
-
-
-class _BestIterate:
-    """The lowest-total iterate of a local/global solve, and its stopping rule.
-
-    ``update`` keeps an iterate whose total is below the best so far and says
-    when to stop: once the best total has not fallen by more than ``TOL`` times
-    the first total for ``PATIENCE`` steps.
-    """
-
-    def __init__(self, values: tuple, state: tuple):
-        self.values, self.state = values, state
-        self.anchor, self.since, self.tol = values[-1], 0, TOL * values[-1]
-
-    def update(self, it: int, values: tuple, state: tuple) -> bool:
-        if values[-1] < self.values[-1]:
-            self.values, self.state = values, state
-            if values[-1] < self.anchor - self.tol:
-                self.anchor, self.since = values[-1], it
-        return it - self.since >= PATIENCE
 
 
 def _edge_rhs(base: np.ndarray, slots: np.ndarray, w: np.ndarray,
@@ -462,49 +459,37 @@ def _edge_rhs(base: np.ndarray, slots: np.ndarray, w: np.ndarray,
     return base + np.bincount(slots, wr.ravel(), 3 * n).reshape(n, 3) - np.einsum("nkd->nd", wr)
 
 
-def _track_frame(prev: GaussianSet, cloud: PointCloud, graph: NeighborGraph,
-                 laplacian: _Laplacian, steps: int) -> tuple[GaussianSet, Trace]:
-    """Minimize e_data_points + e_arap(prev, .) over positions and rotations.
+def _track_iterates(prev: GaussianSet, cloud: PointCloud, graph: NeighborGraph,
+                    laplacian: _Laplacian):
+    """Iterates of e_data_points + e_arap(prev, .) over positions and rotations, for ``_minimize``.
 
-    Iterate 0 is ``prev``. Each step renews the nearest-point matches of the
-    current positions both ways, fits each kernel's rotation against ``prev``'s
-    edge offsets (``_fit_rotations``, kernel quaternion ``fit (x) prev``) and
-    then solves one SPD system for all positions: the energy with the matches
-    and rotations held is quadratic in positions, and colors do not move. Row t
-    of the trace logs iterate t with the rotations fitted to its positions;
-    the best iterate is returned and re-logged last. At most ``steps`` steps
-    run, fewer once the stopping rule (``_BestIterate``) holds.
+    Iterate 0 is ``prev``. Each step renews the nearest-point matches both ways
+    and solves one SPD system for all positions (the energy with the matches
+    and rotations held is quadratic in them; colors do not move), then fits
+    each kernel's rotation against ``prev``'s edge offsets (``_fit_rotations``,
+    kernel quaternion ``fit (x) prev``).
     """
     n, m = len(prev), len(cloud)
     idx, w = graph.indices, graph.weights
     edge_slots = (idx[:, :, None] * 3 + np.arange(3)).ravel()
     positions, rotations = prev.positions, prev.rotations
     fit = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
-    trace = Trace(columns=("iteration", "e_data", "e_arap", "total"))
-    for it in range(steps + 1):
-        if it:
-            offsets = np.take(positions, idx, axis=0) - positions[:, None, :]
-            fit = _fit_rotations(a, offsets, w, fit)
-            rotations = _hamilton(fit, prev.rotations)
-            rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
+    while True:
         e_data, nn_fwd, _, _, nn_bwd = _point_match(positions, prev.colors, cloud)
         # a: prev's edge offsets, the same on every step
         e_rigid, _, a, rotated, _ = _arap_residual(prev, positions, rotations, graph)
-        values = (e_data, e_rigid, e_data + e_rigid)
-        trace.record(it, values)
-        if it == 0:
-            best = _BestIterate(values, (positions, rotations))
-        if best.update(it, values, (positions, rotations)) or it == steps:
-            break
+        yield (e_data, e_rigid, e_data + e_rigid), {"positions": positions, "rotations": rotations}
         # zero gradient of the energy with matches and rotations held:
         # (L + diag(1/n + count/m)) p = y/n + (sum of matched points)/m + r
         rhs = _edge_rhs(cloud.points[nn_fwd] / n
                         + np.bincount((nn_bwd[:, None] * 3 + np.arange(3)).ravel(),
                                       cloud.points.ravel(), 3 * n).reshape(n, 3) / m,
                         edge_slots, w, rotated)
-        positions = laplacian.solve(1.0 / n + np.bincount(nn_bwd, minlength=n) / m, rhs)
-    trace.record(it + 1, best.values)
-    return prev.replace(positions=best.state[0], rotations=best.state[1]), trace
+        positions = laplacian.factored(1.0, 1.0 / n + np.bincount(nn_bwd, minlength=n) / m)(rhs)
+        offsets = np.take(positions, idx, axis=0) - positions[:, None, :]
+        fit = _fit_rotations(a, offsets, w, fit)
+        rotations = _hamilton(fit, prev.rotations)
+        rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
 
 
 def track_sequence(canonical: GaussianSet, targets: list[PointCloud],
@@ -512,7 +497,7 @@ def track_sequence(canonical: GaussianSet, targets: list[PointCloud],
     """Track a motion set through a sequence of colored target clouds.
 
     Each frame warm-starts from the previous result and minimizes the point
-    match plus rigidity against the previous frame with ``_track_frame``;
+    match plus rigidity against the previous frame with ``_track_iterates``;
     only positions and rotations move, and ``cfg.iterations_track`` caps the
     solver steps per frame. Returns per-frame sets (frame numbers 1..T) and
     traces.
@@ -534,8 +519,10 @@ def track_sequence(canonical: GaussianSet, targets: list[PointCloud],
             raise InvalidArgumentError(
                 f"color channels differ: set {prev.color_channels} vs cloud "
                 f"{cloud.colors.shape[1]}")
-        prev, trace = _track_frame(prev.replace(frame=t), cloud, graph, laplacian,
-                                   cfg.iterations_track)
+        best, trace = _minimize(("e_data", "e_arap", "total"),
+                                _track_iterates(prev, cloud, graph, laplacian),
+                                cfg.iterations_track, stops=True)
+        prev = prev.replace(frame=t, **best)
         results.append(prev)
         traces.append(trace)
     return results, traces
@@ -622,6 +609,8 @@ def align_canonical(source: GaussianSet, driver: GaussianSet,
     matched-cluster centroid distance, and rigidity against the original
     source (which anchors local shape while the body moves globally).
     """
+    if cfg.iterations_align < 1:
+        raise InvalidArgumentError("iterations_align must be >= 1")
     masks = [splat(driver, cam).alpha for cam in cameras]
     clusters = match_clusters(source, driver, cfg.clusters_per_label, cfg.seed)
     graph = knn_build(source.positions, source.positions, cfg.k_neighbors,
@@ -639,23 +628,21 @@ def align_canonical(source: GaussianSet, driver: GaussianSet,
 # motion transfer
 
 
-def _transfer_frame(source: GaussianSet, target: GaussianSet, rigid: NeighborGraph,
-                    solve: Callable[[np.ndarray], np.ndarray], lam: float,
-                    steps: int) -> tuple[GaussianSet, Trace]:
-    """Minimize e_l2_gauss(., target) + lam e_arap(source, .) over positions and rotations.
+def _transfer_iterates(source: GaussianSet, target: GaussianSet, rigid: NeighborGraph,
+                       solve: Callable[[np.ndarray], np.ndarray], lam: float):
+    """Iterates of e_l2_gauss(., target) + lam e_arap(source, .) over positions and rotations.
 
-    Iterate 0 is ``target``. Each step first solves for all positions with the
-    rotations held, which is exact: the energy is then quadratic in positions,
-    with (lam L + I/n) p = p_target/n + lam r, and ``solve`` applies that
-    matrix's factor. It then updates every kernel's rotation with the new
-    positions held, through the relative rotation r = q (x) src^-1 (src: the
-    normalized source rotations). For unit r the energy is a constant minus
-    (2 |r.u|/n + 2 lam r^T M r), with u = q_target (x) src^-1 and M the
-    shifted Horn matrix of the edge offsets (``_horn_matrix``, positive
-    semi-definite). Linearising both at r gives the minorise-maximise update
-    r <- normalize(2 lam n M r + s u), s = sign(r.u), made ``_MM_PASSES``
-    times per step; it never raises the energy. Rows, the returned best
-    iterate and the stopping rule are as in ``_track_frame``.
+    For ``_minimize``; iterate 0 is ``target``. Each step first solves for all
+    positions with the rotations held, which is exact: the energy is then
+    quadratic in positions, with (lam L + I/n) p = p_target/n + lam r, and
+    ``solve`` applies that matrix's factor. It then updates every kernel's
+    rotation with the new positions held, through the relative rotation
+    r = q (x) src^-1 (src: the normalized source rotations). For unit r the
+    energy is a constant minus (2 |r.u|/n + 2 lam r^T M r), with
+    u = q_target (x) src^-1 and M the shifted Horn matrix of the edge offsets
+    (``_horn_matrix``, positive semi-definite). Linearising both at r gives the
+    minorise-maximise update r <- normalize(2 lam n M r + s u), s = sign(r.u),
+    made ``_MM_PASSES`` times per step; it never raises the energy.
     """
     n = len(target)
     idx = rigid.indices
@@ -666,29 +653,20 @@ def _transfer_frame(source: GaussianSet, target: GaussianSet, rigid: NeighborGra
     u = _hamilton(target.rotations, src * _CONJ)
     rel = u
     positions, rotations = target.positions, target.rotations
-    trace = Trace(columns=("iteration", "e_l2", "e_arap", "total"))
-    for it in range(steps + 1):
-        if it:
-            offsets = np.take(positions, idx, axis=0) - positions[:, None, :]
-            m = (2.0 * lam * n) * _horn_matrix(a, offsets, rigid.weights)[0]
-            for _ in range(_MM_PASSES):
-                pull = np.where((np.sum(rel * u, axis=1) < 0.0)[:, None], -u, u)
-                rel = (m @ rel[:, :, None])[:, :, 0] + pull
-                rel /= np.linalg.norm(rel, axis=1, keepdims=True)
-            rotations = _hamilton(rel, src)
-            rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
+    while True:
         e_l2 = _l2_residual(positions, rotations, target)[0]
         # a: the source's edge offsets, the same on every step
         e_rigid, _, a, rotated, _ = _arap_residual(source, positions, rotations, rigid)
-        values = (e_l2, e_rigid, e_l2 + lam * e_rigid)
-        trace.record(it, values)
-        if it == 0:
-            best = _BestIterate(values, (positions, rotations))
-        if best.update(it, values, (positions, rotations)) or it == steps:
-            break
+        yield (e_l2, e_rigid, e_l2 + lam * e_rigid), {"positions": positions, "rotations": rotations}
         positions = solve(_edge_rhs(base, edge_slots, lam_w, rotated))
-    trace.record(it + 1, best.values)
-    return target.replace(positions=best.state[0], rotations=best.state[1]), trace
+        offsets = np.take(positions, idx, axis=0) - positions[:, None, :]
+        m = (2.0 * lam * n) * _horn_matrix(a, offsets, rigid.weights)[0]
+        for _ in range(_MM_PASSES):
+            pull = np.where((np.sum(rel * u, axis=1) < 0.0)[:, None], -u, u)
+            rel = (m @ rel[:, :, None])[:, :, 0] + pull
+            rel /= np.linalg.norm(rel, axis=1, keepdims=True)
+        rotations = _hamilton(rel, src)
+        rotations /= np.linalg.norm(rotations, axis=1, keepdims=True)
 
 
 def transfer_motion(aligned: GaussianSet, source_canonical: GaussianSet,
@@ -697,7 +675,7 @@ def transfer_motion(aligned: GaussianSet, source_canonical: GaussianSet,
     """Re-perform driver motion on the aligned source appearance set.
 
     Every frame starts at the skinned warp of the aligned set under the
-    driver's transforms and is then refined by ``_transfer_frame`` to stay
+    driver's transforms and is then refined by ``_transfer_iterates`` to stay
     close to that warp while keeping local rigidity against the *source*
     canonical geometry, so the result moves like the driver but deforms like
     the source. ``cfg.iterations_transfer`` caps the solver steps per frame.
@@ -725,8 +703,10 @@ def transfer_motion(aligned: GaussianSet, source_canonical: GaussianSet,
     results: list[GaussianSet] = []
     traces: list[Trace] = []
     for fm in motions:
-        result, trace = _transfer_frame(source_canonical, warp_appearance(aligned, fm, skin),
-                                        rigid, solve, lam, cfg.iterations_transfer)
-        results.append(result)
+        target = warp_appearance(aligned, fm, skin)
+        best, trace = _minimize(("e_l2", "e_arap", "total"),
+                                _transfer_iterates(source_canonical, target, rigid, solve, lam),
+                                cfg.iterations_transfer, stops=True)
+        results.append(target.replace(**best))
         traces.append(trace)
     return results, traces

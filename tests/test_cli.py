@@ -284,6 +284,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "huge.gset: rotations contain a quaternion whose norm overflows" in err
 
+    def test_overflowing_distance_is_runtime_error(self, small_scene, tmp_path, capsys):
+        blob = bytearray((small_scene / "motion_canonical.gset").read_bytes())
+        blob[36:44] = np.array([1e200]).tobytes()  # the first kernel's x
+        path = tmp_path / "far.gset"
+        path.write_bytes(blob)
+        capsys.readouterr()
+        assert run_cli("track", "--canonical", path, "--targets", small_scene / "frames",
+                       "--out-dir", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "distances are not finite" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,flag,value", [
         ("render", "--truncation", "nan"),
         ("render", "--truncation", "inf"),

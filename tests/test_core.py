@@ -364,6 +364,17 @@ class TestNeighbors:
         with pytest.raises(InvalidArgumentError):
             knn_build(ref, ref, k=4, length_scale=1.0, normalize=False)
 
+    @pytest.mark.parametrize("self_query", [True, False], ids=["self", "huge-query"])
+    def test_overflowing_distances_rejected(self, self_query):
+        # squared distances from a coordinate of 1e200 overflow, and the k-d tree
+        # then reports no neighbor (index M) for the far points
+        ref = np.random.default_rng(4).normal(size=(6, 3))
+        query = ref.copy()
+        query[0, 0] = 1e200
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            knn_build(query, query if self_query else ref, k=2, length_scale=1.0,
+                      normalize=False)
+
 
 def _knn_brute(query, reference, k, length_scale, normalize):
     """Brute-force reference for knn_build: stable sort of every squared distance."""

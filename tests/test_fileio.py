@@ -694,6 +694,15 @@ class TestConfigFiles:
         with pytest.raises(FormatError, match=r"\[1, 21\]"):
             read_config(tmp_path / "c.cfg")
 
+    @pytest.mark.parametrize("key", ["map_width", "map_height"])
+    @pytest.mark.parametrize("value", [4097, 9223372036854775808])
+    def test_map_side_range(self, tmp_path, key, value):
+        (tmp_path / "c.cfg").write_text(f"{key}={value}\n")
+        with pytest.raises(FormatError, match=rf"{key} must be in \[1, 4096\]"):
+            read_config(tmp_path / "c.cfg")
+        (tmp_path / "c.cfg").write_text(f"{key}=4096\n")
+        assert read_config(tmp_path / "c.cfg") == {key: 4096}
+
     def test_length_scale_must_be_positive(self, tmp_path):
         (tmp_path / "c.cfg").write_text("l=0.0\n")
         with pytest.raises(FormatError, match="positive"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from splatkin import pipeline
 from splatkin.core import PointCloud, Role, knn_build, quat_normalize, quat_to_matrix
 from splatkin.energy import e_arap, e_data_points, e_l2_gauss
 from splatkin.errors import InvalidArgumentError
@@ -12,11 +13,13 @@ from splatkin.pipeline import (
     _BETA2,
     _EPS,
     PATIENCE,
+    TOL,
     Adam,
     TrackConfig,
     TransferConfig,
     _fit_rotations,
     _Laplacian,
+    _minimize,
     _optimize,
     align_canonical,
     init_canonical,
@@ -235,6 +238,62 @@ class TestOptimize:
                       [("e_data", 1.0, lambda cur: e_data_points(cur, sc.motion))])
 
 
+def _stage(totals, steps):
+    """A stage whose iterate i has total ``totals[i]``; appends i to ``steps`` per step after it."""
+    for i, total in enumerate(totals):
+        yield (2.0 * total, total), {"positions": i}
+        steps.append(i)
+
+
+class TestMinimize:
+    def test_rows_are_the_iterates_then_the_first_best(self):
+        totals, steps = [3.0, 1.0, 2.0, 1.0, 4.0, 0.5], []
+        best, trace = _minimize(("e", "total"), _stage(totals, steps), 4, stops=False)
+        assert trace.columns == ("iteration", "e", "total")
+        assert trace.rows == [(i, 2.0 * t, t) for i, t in enumerate(totals[:5])] + [(5, 2.0, 1.0)]
+        assert best == {"positions": 1}  # the tie at iterate 3 keeps iterate 1
+        assert steps == [0, 1, 2, 3]  # no step past the last logged iterate
+
+    def test_runs_to_the_cap_without_stops(self):
+        steps = []
+        _, trace = _minimize(("total",), _stage([1.0] * 50, steps), 30, stops=False)
+        assert [row[0] for row in trace.rows] == list(range(32))
+        assert steps == list(range(30))
+
+    def test_stops_patience_steps_after_the_last_large_fall(self):
+        # falls of 0.5 and 0.25 count; the later falls of 1e-7 are below TOL
+        totals = [1.0, 0.5, 0.25] + [0.25 - 1e-7 * i for i in range(1, 20)]
+        assert 1e-7 < TOL * totals[0]
+        steps = []
+        best, trace = _minimize(("total",), _stage(totals, steps), 100, stops=True)
+        last = 2 + PATIENCE
+        assert [row[0] for row in trace.rows] == list(range(last + 2))
+        assert steps == list(range(last))
+        assert best == {"positions": last}  # small falls still renew the best
+        assert trace.rows[-1][-1] == totals[last]
+
+    @pytest.mark.parametrize("stage", ["init", "align"])
+    def test_adam_stages_step_once_less_than_they_log(self, monkeypatch, stage):
+        made = []
+
+        class Recorded(Adam):
+            def __init__(self, total_steps):
+                super().__init__(total_steps)
+                made.append(self)
+
+        monkeypatch.setattr(pipeline, "Adam", Recorded)
+        sc = make_scene("twolink", 30, 60, seed=10)
+        if stage == "init":
+            _, trace = init_canonical(sc.motion_set(), sc.motion,
+                                      _fast_track_cfg(iterations_init=7))
+        else:
+            src = sc.appearance_set()
+            _, trace = align_canonical(src, src, _cameras(src, res=16),
+                                       _fast_transfer_cfg(iterations_align=7))
+        assert len(trace.rows) == 8
+        assert [adam.t for adam in made] == [6]
+
+
 class TestInitCanonical:
     def test_improves_and_traces(self):
         sc = make_scene("twolink", 50, 150, seed=11)
@@ -349,6 +408,8 @@ class TestTrackSequence:
         assert trace.rows[2][1:] == min(trace.rows[:2], key=lambda row: row[-1])[1:]
         with pytest.raises(InvalidArgumentError, match="iterations_track"):
             track_sequence(sc.motion_set(), [frames[0].motion], _fast_track_cfg(iterations_track=0))
+        with pytest.raises(InvalidArgumentError, match="iterations_init"):
+            init_canonical(sc.motion_set(), frames[0].motion, _fast_track_cfg(iterations_init=0))
 
     def test_fitted_target_stops_within_patience(self):
         sc = make_scene("twolink", 60, 40, seed=19)
@@ -392,15 +453,23 @@ class TestFitRotations:
 
 
 class TestLaplacian:
-    def test_factored_solve_matches_the_one_off_solve(self):
+    def test_factored_solve_matches_a_dense_solve(self):
         rng = np.random.default_rng(23)
         pts = rng.normal(size=(120, 3))
-        laplacian = _Laplacian.of(knn_build(pts, pts, 5, 1.0, normalize=False))
+        graph = knn_build(pts, pts, 5, 1.0, normalize=False)
         diagonal = rng.uniform(0.5, 2.0, size=120)
-        solve = laplacian.factored(0.3, diagonal)
+        # 0.3 L + diag: every edge (i, j, w) with i != j adds 0.3 w |p_j - p_i|^2
+        i, j = np.repeat(np.arange(120), 5), graph.indices.ravel()
+        w = 0.3 * np.where(i != j, graph.weights.ravel(), 0.0)
+        dense = np.diag(diagonal)
+        np.add.at(dense, (i, i), w)
+        np.add.at(dense, (j, j), w)
+        np.add.at(dense, (i, j), -w)
+        np.add.at(dense, (j, i), -w)
+        solve = _Laplacian.of(graph).factored(0.3, diagonal)
         for _ in range(2):  # the factor is reused
             rhs = rng.normal(size=(120, 3))
-            want = laplacian.solve(diagonal / 0.3, rhs / 0.3)
+            want = np.linalg.solve(dense, rhs)
             assert np.abs(solve(rhs) - want).max() < 1e-12 * np.abs(want).max()
 
 
@@ -495,10 +564,12 @@ class TestTransferMotion:
             assert np.allclose(np.linalg.norm(res.rotations, axis=1), 1.0, atol=1e-15)
 
     def test_step_cap_is_honoured(self):
-        _, _, _, (trace,), _, _ = self._bend(25, [0.5], iterations_transfer=1)
+        src, _, _, (trace,), _, _ = self._bend(25, [0.5], iterations_transfer=1)
         # the warp, one solver step, and the re-logged best
         assert [row[0] for row in trace.rows] == [0, 1, 2]
         assert trace.rows[2][1:] == min(trace.rows[:2], key=lambda row: row[-1])[1:]
+        with pytest.raises(InvalidArgumentError, match="iterations_align"):
+            align_canonical(src, src, _cameras(src), _fast_transfer_cfg(iterations_align=0))
 
     @pytest.mark.parametrize("setting", [{"iterations_transfer": 0},
                                          {"lambda_arap_transfer": -0.1},
